@@ -6,19 +6,21 @@
 // (value, stamp) packed into one atomic 64-bit word to honor the paper's
 // word+timestamp atomic-access postulate.
 //
-// Measurement: for thread counts {2, 4, 8}, run the host protocol until
-// the Theorem-1 scannable properties hold for a live phase; report the
-// observed phase, agreement throughput (cycles/s), and work.  Every
-// configuration must reach agreement — including oversubscribed ones
-// (more threads than cores), which maximize preemption asynchrony.
+// Measurement: for P = T in {2, 4, 8}, run standalone agreement — a
+// one-step program, one rand_below draw per processor — on HostExecutor and
+// check the Theorem-1 scannable properties (accessibility + uniqueness) in
+// every bin at quiescence (HostExecutor::agreed_values); report work and
+// throughput.  Every configuration must reach agreement — including
+// oversubscribed ones (more threads than cores), which maximize preemption
+// asynchrony.
 //
 // Second table: the FULL execution scheme on real threads, regular vs
-// irregular kernels.  For each thread count, a regular lockstep kernel
-// (prefix) and an irregular data-dependent one (dag — random dataflow,
-// plus spmv's computed-index gathers at n=8) run through HostExecutor;
+// irregular kernels.  A regular lockstep kernel (prefix) and an irregular
+// data-dependent one (dag — random dataflow, plus spmv's computed-index
+// gathers at n=8) run through HostExecutor on the default thread count;
 // every run must pass the workload's final-memory verdict (audit-clean
 // runs only; lost_commits, the detected ultra-preemption damage, is
-// reported and retried — see host_executor.h).
+// reported and retried by host::run_until_clean — see host_executor.h).
 //
 // Third table: the SCALING STUDY the virtualized executor exists for.
 // P logical processors (up to the registry's scale_ns instances, 64/128)
@@ -35,24 +37,44 @@
 // gathers, placed partition-aware (each OS thread owns a weight-balanced
 // share of the degree mass) on T = 2 threads at alpha = 32.
 //
-// Fifth: the virtualization dividend — the same workload at the same
-// protocol parameters (alpha = 4096), one-thread-per-processor (the
-// pre-virtualization shape, T = P) vs T = hardware threads; the wall-clock
-// ratio is printed (informational: absolute timing is machine-dependent).
-//
 // Note on --jobs: each trial already spawns its own thread team, and the
 // wall-clock/throughput columns are timing measurements, so running trials
 // concurrently oversubscribes the machine and perturbs them.  Leave
 // --jobs=1 (the default) when the absolute numbers matter.
-#include <thread>
-
 #include "bench/common.h"
-#include "host/host_agreement.h"
 #include "host/host_executor.h"
 #include "pram/workloads.h"
 
 using namespace apex;
 using namespace apex::host;
+
+namespace {
+
+/// One host trial's verdict columns: an audit-clean run of the workload at
+/// n (after run_until_clean's retries) whose memory passes its check.
+batch::TrialResult host_trial(const pram::WorkloadSpec& spec, std::size_t n,
+                              const HostExecConfig& cfg) {
+  batch::TrialResult r;
+  const HostRun run = run_until_clean(spec.make(n), cfg);
+  const HostExecResult& res = run.result;
+  if (run.repaired_commits != 0)
+    r.count("repaired", static_cast<double>(run.repaired_commits));
+  // Every attempt but a clean last one was damaged.
+  r.count("damaged", run.attempts - (res.lost_commits == 0 ? 1 : 0));
+  std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
+  if (!res.completed || res.lost_commits != 0 || !spec.check(n, mem).empty()) {
+    r.ok = false;
+    return r;
+  }
+  r.count("ok");
+  r.sample("work", static_cast<double>(res.total_work));
+  r.sample("wall", res.wall_seconds * 1000.0);
+  r.sample("wps", static_cast<double>(res.total_work) /
+                      std::max(res.wall_seconds, 1e-9) / 1e6);
+  return r;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const auto opt = bench::Options::parse(argc, argv);
@@ -66,31 +88,37 @@ int main(int argc, char** argv) {
   const auto groups =
       opt.sweep(thread_counts, reps, [](std::size_t threads, int s) {
         batch::TrialResult r;
-        HostConfig cfg;
-        cfg.nthreads = threads;
-        cfg.seed = 12'000 + static_cast<std::uint64_t>(s);
-        HostAgreement ha(cfg, [](std::size_t i, apex::Rng& rng) {
-          return 1000 * i + rng.below(1000);
+        pram::ProgramBuilder b(threads, threads);
+        b.step().all([](std::size_t i) {
+          return pram::Instr::rand_below(static_cast<std::uint32_t>(i), 1000);
         });
-        const auto res = ha.run(20.0);
-        if (!res.satisfied) {
+        const pram::Program p = b.build();
+        HostExecConfig cfg;
+        cfg.os_threads = threads;
+        cfg.seed = 12'000 + static_cast<std::uint64_t>(s);
+        HostExecutor ex(p, cfg);
+        const auto res = ex.run();
+        if (!res.completed || res.lost_commits != 0) {
           r.ok = false;
           return r;
         }
-        r.count("sat");
-        // Sanity: agreed values must be in bin i's support.
+        // Every bin agreed, on the committed value, inside the support.
+        const auto agreed = ex.agreed_values(0);
         for (std::size_t i = 0; i < threads; ++i)
-          if (res.values[i] / 1000 != i) r.ok = false;
-        r.sample("phase", static_cast<double>(res.phase));
-        r.sample("cps",
-                 static_cast<double>(res.cycles) / res.wall_seconds / 1e6);
+          if (agreed[i] != res.memory[i] || res.memory[i] >= 1000) {
+            r.ok = false;
+            return r;
+          }
+        r.count("sat");
+        r.sample("wps", static_cast<double>(res.total_work) /
+                            std::max(res.wall_seconds, 1e-9) / 1e6);
         r.sample("work", static_cast<double>(res.total_work));
         r.sample("wall", res.wall_seconds * 1000.0);
         return r;
       });
 
-  Table t({"threads", "runs", "satisfied", "phase_mean", "Mcycles/s",
-           "work_mean", "wall_ms_mean"});
+  Table t({"threads", "runs", "satisfied", "Mwork/s", "work_mean",
+           "wall_ms_mean"});
   bool all_ok = true;
 
   for (std::size_t g = 0; g < thread_counts.size(); ++g) {
@@ -102,8 +130,7 @@ int main(int argc, char** argv) {
         .cell(static_cast<std::uint64_t>(thread_counts[g]))
         .cell(runs)
         .cell(sat)
-        .cell(sat ? group.sample("phase").mean() : 0.0, 1)
-        .cell(sat ? group.sample("cps").mean() : 0.0, 2)
+        .cell(sat ? group.sample("wps").mean() : 0.0, 2)
         .cell(sat ? group.sample("work").mean() : 0.0, 0)
         .cell(sat ? group.sample("wall").mean() : 0.0, 2);
     if (sat != runs) all_ok = false;
@@ -121,40 +148,11 @@ int main(int argc, char** argv) {
 
   const auto wl_groups = opt.sweep(wl_grid, opt.seeds, [](const WlPoint& pt,
                                                           int s) {
-    batch::TrialResult r;
     const auto* spec = pram::find_workload(pt.workload);
-    const pram::Program p = spec->make(pt.n);
     HostExecConfig cfg;
     cfg.seed = 12'500 + static_cast<std::uint64_t>(s);
     cfg.timeout_seconds = 60.0;
-    // Retry detected preemption damage (rare, oversubscription-dependent);
-    // only audit-clean runs count toward the verdict columns.
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      HostExecutor ex(p, cfg);
-      const auto res = ex.run();
-      if (!res.completed) {
-        r.ok = false;
-        return r;
-      }
-      if (res.lost_commits != 0) {
-        r.count("damaged");
-        cfg.seed += 1000;
-        continue;
-      }
-      std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-      if (!spec->check(pt.n, mem).empty()) {
-        r.ok = false;
-        return r;
-      }
-      r.count("ok");
-      r.sample("work", static_cast<double>(res.total_work));
-      r.sample("wall", res.wall_seconds * 1000.0);
-      r.sample("wps", static_cast<double>(res.total_work) /
-                          std::max(res.wall_seconds, 1e-9) / 1e6);
-      return r;
-    }
-    r.ok = false;  // damaged on every attempt
-    return r;
+    return host_trial(*spec, pt.n, cfg);
   });
 
   Table wt({"kernel", "class", "n", "runs", "ok", "damaged", "work_mean",
@@ -208,9 +206,7 @@ int main(int argc, char** argv) {
 
   const auto sgroups = opt.sweep(sgrid, opt.seeds, [](const ScalePoint& pt,
                                                       int s) {
-    batch::TrialResult r;
     const auto* spec = pram::find_workload(pt.workload);
-    const pram::Program p = spec->make(pt.P);
     HostExecConfig cfg;
     cfg.seed = 12'800 + static_cast<std::uint64_t>(s);
     cfg.os_threads = pt.T;
@@ -218,34 +214,7 @@ int main(int argc, char** argv) {
     cfg.seq_cst = pt.seq_cst;
     cfg.clock_alpha = 48.0;  // virtualized: phases need not outlast OS slices
     cfg.timeout_seconds = 120.0;
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      HostExecutor ex(p, cfg);
-      const auto res = ex.run();
-      if (!res.completed) {
-        r.ok = false;
-        return r;
-      }
-      if (res.repaired_commits != 0)
-        r.count("repaired", static_cast<double>(res.repaired_commits));
-      if (res.lost_commits != 0) {
-        r.count("damaged");
-        cfg.seed += 1000;
-        continue;
-      }
-      std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-      if (!spec->check(pt.P, mem).empty()) {
-        r.ok = false;
-        return r;
-      }
-      r.count("ok");
-      r.sample("work", static_cast<double>(res.total_work));
-      r.sample("wall", res.wall_seconds * 1000.0);
-      r.sample("wps", static_cast<double>(res.total_work) /
-                          std::max(res.wall_seconds, 1e-9) / 1e6);
-      return r;
-    }
-    r.ok = false;  // damaged on every attempt
-    return r;
+    return host_trial(*spec, pt.P, cfg);
   });
 
   Table st({"kernel", "P", "T", "policy", "order", "runs", "ok", "damaged",
@@ -293,9 +262,7 @@ int main(int argc, char** argv) {
   }
   const auto ggroups = opt.sweep(ggrid, opt.seeds, [](const GraphPoint& pt,
                                                       int s) {
-    batch::TrialResult r;
     const auto* spec = pram::find_workload(pt.workload);
-    const pram::Program p = spec->make(pt.n);
     HostExecConfig cfg;
     cfg.seed = 13'000 + static_cast<std::uint64_t>(s);
     cfg.os_threads = 2;
@@ -304,34 +271,7 @@ int main(int argc, char** argv) {
     cfg.interleave = Interleave::kPartition;
     cfg.proc_weights = spec->proc_weights(pt.n);
     cfg.timeout_seconds = pt.n > 10'000 ? 1200.0 : 600.0;
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      HostExecutor ex(p, cfg);
-      const auto res = ex.run();
-      if (!res.completed) {
-        r.ok = false;
-        return r;
-      }
-      if (res.repaired_commits != 0)
-        r.count("repaired", static_cast<double>(res.repaired_commits));
-      if (res.lost_commits != 0) {
-        r.count("damaged");
-        cfg.seed += 1000;
-        continue;
-      }
-      std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-      if (!spec->check(pt.n, mem).empty()) {
-        r.ok = false;
-        return r;
-      }
-      r.count("ok");
-      r.sample("work", static_cast<double>(res.total_work));
-      r.sample("wall", res.wall_seconds * 1000.0);
-      r.sample("wps", static_cast<double>(res.total_work) /
-                          std::max(res.wall_seconds, 1e-9) / 1e6);
-      return r;
-    }
-    r.ok = false;  // damaged on every attempt
-    return r;
+    return host_trial(*spec, pt.n, cfg);
   });
 
   Table gt({"kernel", "n", "P", "T", "policy", "runs", "ok", "damaged",
@@ -358,71 +298,6 @@ int main(int argc, char** argv) {
   std::printf("\ngraph scale (CSR kernels, partition-aware placement, "
               "alpha=32, T=2):\n");
   opt.emit(gt);
-
-  // ---- virtualization dividend: T = P (pre-virtualization shape) vs -------
-  // ---- T = hardware threads, identical protocol parameters ----------------
-
-  const std::size_t hw = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
-  struct DivPoint {
-    const char* workload;
-    std::size_t n;
-    std::size_t T;  ///< 0 = one thread per processor (legacy shape).
-  };
-  std::vector<DivPoint> dgrid;
-  for (const char* wlname : {"prefix", "dag"}) {
-    dgrid.push_back({wlname, 8, 0});
-    dgrid.push_back({wlname, 8, std::min<std::size_t>(hw, 8)});
-  }
-  const auto dgroups = opt.sweep(dgrid, opt.seeds, [](const DivPoint& pt,
-                                                      int s) {
-    batch::TrialResult r;
-    const auto* spec = pram::find_workload(pt.workload);
-    const pram::Program p = spec->make(pt.n);
-    HostExecConfig cfg;
-    cfg.seed = 12'900 + static_cast<std::uint64_t>(s);
-    cfg.os_threads = pt.T;
-    // Virtualized side runs the throughput policy (block keeps a
-    // processor's state register-resident); legacy T=P has one processor
-    // per thread, for which the policy is a no-op distinction.
-    if (pt.T != 0) cfg.interleave = Interleave::kBlock;
-    cfg.timeout_seconds = 120.0;  // default alpha: the legacy operating point
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      HostExecutor ex(p, cfg);
-      const auto res = ex.run();
-      if (!res.completed) {
-        r.ok = false;
-        return r;
-      }
-      if (res.lost_commits != 0) {
-        r.count("damaged");
-        cfg.seed += 1000;
-        continue;
-      }
-      std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-      if (!spec->check(pt.n, mem).empty()) {
-        r.ok = false;
-        return r;
-      }
-      r.count("ok");
-      r.sample("wall", res.wall_seconds * 1000.0);
-      return r;
-    }
-    r.ok = false;
-    return r;
-  });
-
-  std::printf("\nvirtualization dividend (same kernel, same alpha=4096; "
-              "wall legacy T=P / virtualized T=%zu):\n", hw);
-  for (std::size_t g = 0; g + 1 < dgrid.size(); g += 2) {
-    if (!dgroups[g].all_ok() || !dgroups[g + 1].all_ok()) all_ok = false;
-    const double legacy = dgroups[g].sample("wall").mean();
-    const double virt = dgroups[g + 1].sample("wall").mean();
-    std::printf("  %-6s n=%zu: legacy %.2f ms, virtualized %.2f ms, "
-                "ratio %.2fx\n",
-                dgrid[g].workload, dgrid[g].n, legacy, virt,
-                virt > 0 ? legacy / virt : 0.0);
-  }
 
   return bench::verdict(all_ok,
                         "agreement reached at every thread count on real "

@@ -13,7 +13,7 @@
 //   pram/       EREW PRAM programs + reference interpreter       (apex::pram)
 //   exec/       the execution scheme (nondet + det baseline)     (apex::exec)
 //   consensus/  classical-style O(n^2)-per-value baseline        (apex::consensus)
-//   host/       std::thread port of the protocol                 (apex::host)
+//   host/       the execution scheme on real threads             (apex::host)
 //   check/      schedule fuzzer + invariant oracles + self-test  (apex::check)
 //
 // Quick start (see examples/quickstart.cpp):
@@ -39,7 +39,6 @@
 #include "consensus/scan_consensus.h" // IWYU pragma: export
 #include "core/version.h"             // IWYU pragma: export
 #include "exec/executor.h"            // IWYU pragma: export
-#include "host/host_agreement.h"      // IWYU pragma: export
 #include "host/host_executor.h"       // IWYU pragma: export
 #include "host/host_memory.h"         // IWYU pragma: export
 #include "pram/interp.h"              // IWYU pragma: export

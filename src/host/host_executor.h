@@ -19,9 +19,8 @@
 // stalls every processor of a slice in lockstep — a LEGAL oblivious
 // adversary (the OS and the policy never see the protocol's coins), and a
 // strictly more asynchronous one than one-thread-per-processor, since a
-// single preemption now stalls P/T processors at once.  T = P (os_threads
-// = 0, the default) reproduces the original one-std::thread-per-processor
-// executor; T = 1 is a fully deterministic sequential interleaving.
+// single preemption now stalls P/T processors at once.  T = 1 is a fully
+// deterministic sequential interleaving.
 //
 // What this validates: the w.h.p. guarantees of the scheme carry from the
 // oblivious-adversary model to genuine preemption — and now to instance
@@ -45,8 +44,8 @@
 // audit-clean result (lost_commits == 0, repaired or not) is sound: readers
 // accept only exact stamps, and the value stored under a given stamp is
 // always that step's unique agreed value, even when the store itself was
-// tardy.  Non-zero lost_commits means the memory must not be trusted and
-// the caller should re-run.
+// tardy.  Non-zero lost_commits means the memory must not be trusted;
+// run_until_clean() is the re-run policy.
 //
 // Limits vs the simulator executor: program values must fit in 40 bits
 // (host Pack width), and there is no produced-trace monitor — tests verify
@@ -58,6 +57,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,7 +75,8 @@ namespace apex::host {
 enum class Interleave : std::uint8_t {
   kRoundRobin,  ///< Cyclic sweep: skew within a slice bounded by 1 visit.
   kRandom,      ///< Uniform pick per visit (thread-private stream).
-  kBlock,       ///< `block` consecutive steps per processor before moving on.
+  kBlock,       ///< A block of consecutive steps per processor before
+                ///< moving on (kBlockSteps in host_executor.cpp).
   kPartition,   ///< Cyclic sweep over WEIGHT-BALANCED slices: the T slice
                 ///< bounds come from HostExecConfig::proc_weights (e.g. the
                 ///< graph degree partitioner's per-processor work), so the
@@ -91,26 +92,25 @@ bool parse_interleave(const std::string& s, Interleave& out) noexcept;
 
 struct HostExecConfig {
   std::size_t generations = 4;  ///< G generation slots per program variable.
-  std::size_t beta = 8;         ///< Bin sizing.
-  double clock_alpha = 4096.0;  ///< Updates per tick (see HostConfig note).
-                                ///< Virtualized configs (small T) tolerate
-                                ///< far smaller alpha (e.g. 48): intra-slice
-                                ///< skew is policy-bounded, so phases no
-                                ///< longer need to outlast OS timeslices.
+  /// Clock updates per tick, per logical processor (tau = alpha * P).  Real
+  /// threads burn through cycles at nanosecond rates, so alpha serves two
+  /// purposes: (a) as in the simulator, it must comfortably exceed the bin
+  /// size so every bin fills early in its phase, and (b) it sets the wall-
+  /// clock length of a phase, which must outlast OS timeslices when T is
+  /// close to P and the OS, not the interleave policy, decides who runs.
+  /// 4096 is the conservative value for that shape.  Virtualized configs
+  /// (T << P) tolerate far smaller alpha (e.g. 48): intra-slice skew is
+  /// policy-bounded, so phases no longer need to outlast OS timeslices.
+  double clock_alpha = 4096.0;
   std::uint64_t seed = 1;
   double timeout_seconds = 60.0;
 
   // --- virtualization -------------------------------------------------------
-  /// T = number of OS worker threads.  0 = one thread per logical processor
-  /// (the original executor's shape).  Clamped to P (a worker needs at
-  /// least one processor to drive).
+  /// T = number of OS worker threads.  0 = the hardware thread count.  The
+  /// result is clamped to [1, P] (a worker needs a processor to drive); see
+  /// resolve_os_threads().
   std::size_t os_threads = 0;
   Interleave interleave = Interleave::kRoundRobin;
-  /// Steps per visit under Interleave::kBlock.  64 keeps a processor's RNG
-  /// and loop state register-resident across the block (measured ~1.1-1.3x
-  /// over per-visit round-robin) while staying far inside a phase: even at
-  /// alpha = 48 a tick spans ~alpha*lg(n) visits per processor.
-  std::size_t block = 64;
   /// Fidelity fallback: force seq_cst on every protocol word, restoring the
   /// pre-virtualization memory discipline exactly.  Off = the audited
   /// relaxed/acq-rel orders (see the proof obligations in host_executor.cpp).
@@ -150,12 +150,19 @@ struct HostExecResult {
   std::size_t repaired_commits = 0;
 };
 
+/// The worker-thread count for `requested` (HostExecConfig::os_threads) on a
+/// program of `nprocs` logical processors: 0 means the hardware thread count
+/// (batch::SweepEngine::resolve_jobs, the `--jobs=0` rule), and the result is
+/// clamped to [1, nprocs].
+std::size_t resolve_os_threads(std::size_t requested, std::size_t nprocs);
+
 class HostExecutor {
  public:
   HostExecutor(const pram::Program& program, HostExecConfig cfg);
 
   /// Launch T worker threads over the P virtual processors, run the full
   /// phase sequence, join, audit + repair, and extract the final memory.
+  /// One attempt: see run_until_clean() for the retry policy.
   HostExecResult run();
 
   /// Raw host memory (clock | bins | generation slots) — for inspectors
@@ -167,6 +174,15 @@ class HostExecutor {
   }
   /// The worker-thread count this run will use (after clamping).
   std::size_t os_threads() const noexcept { return nthreads_; }
+
+  /// Theorem 1 as a quiescent query (read it only after run() returned;
+  /// mirrors agreement::TheoremChecker::values).  Entry i is the single
+  /// value held by bin i's upper-half cells that carry `step`'s stamp, or
+  /// nullopt when fewer than half of those cells carry the stamp or when
+  /// they disagree.  Exact for the final step, whose bins no later phase
+  /// recycles; an earlier step's bins may since have been overwritten.
+  std::vector<std::optional<std::uint64_t>> agreed_values(
+      std::size_t step) const;
 
  private:
   /// Dense per-logical-processor loop state.  Owned by exactly one worker
@@ -214,6 +230,15 @@ class HostExecutor {
   void record_error(std::size_t tid, const char* what);
   void audit_and_repair(HostExecResult& out);
 
+  /// Bin `bin`'s upper-half cells stamped `stamp`: how many there are, the
+  /// first one's value, and whether they all hold that value.
+  struct UpperHalf {
+    std::size_t stamped = 0;
+    std::uint64_t first = 0;
+    bool unique = true;
+  };
+  UpperHalf scan_upper_half(std::size_t bin, std::uint32_t stamp) const;
+
   // Memory layout helpers (clock slots | bins | variable generations).
   std::size_t bin_addr(std::size_t bin, std::size_t cell) const {
     return bins_base_ + bin * b_ + cell;
@@ -255,5 +280,21 @@ class HostExecutor {
   std::vector<std::string> error_slot_;
   std::atomic<std::int32_t> first_error_{-1};
 };
+
+/// run_until_clean()'s outcome: the last attempt's result, how many
+/// attempts ran, and the lost and repaired commits summed over all of them.
+struct HostRun {
+  HostExecResult result;
+  int attempts = 0;
+  std::size_t lost_commits = 0;
+  std::size_t repaired_commits = 0;
+};
+
+/// The retry policy for detected preemption damage: an attempt with
+/// lost_commits != 0 is untrusted, so run `program` again on seed
+/// cfg.seed + 1000 * attempt, up to 4 attempts.  Stops early at an
+/// audit-clean attempt, or at one that did not complete (a timeout or
+/// worker fault is reported, not retried).
+HostRun run_until_clean(const pram::Program& program, HostExecConfig cfg);
 
 }  // namespace apex::host

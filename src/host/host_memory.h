@@ -7,8 +7,11 @@
 // accesses are plain loads/stores — no compare-and-swap anywhere, matching
 // the model's "no compound read-write atomicity".
 //
-// Memory order: callers choose per access.  The default is seq_cst, which
-// keeps out-of-band pollers (HostAgreement's scanner) trivially correct.
+// Memory order: callers choose per access.  The default is seq_cst; its
+// callers are quiescent (the executor's post-join audit and repair,
+// agreed_values(), fault injection in tests and the benchmark), where any
+// order reads exactly and seq_cst costs nothing measurable, so the safe
+// order stays the default.
 // The virtualized executor (host_executor.cpp) downgrades protocol words to
 // relaxed/acq-rel orders — each downgrade carries a proof obligation at its
 // use site arguing why the weaker order cannot introduce any behavior a

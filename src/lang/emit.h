@@ -3,10 +3,9 @@
 // For any Program built from the Instr convenience constructors (which
 // zero unused operand fields — everything in the workload registry),
 // compile(emit(p)) reproduces p BIT-FOR-BIT: every Instr field, nthreads,
-// nvars, and step count.  This is how the shipped kernels/*.pram sources
-// are generated and how the round-trip tier-1 test pins them against
-// their registry twins (`apexcli emit --workload=... --n=...` is the
-// regeneration path).
+// nvars, and step count; the round-trip tier-1 test pins that over every
+// registry kernel.  `apexcli emit --workload=... --n=...` renders any
+// registry kernel as .pram source.
 //
 // Emission is canonical: raw v<index> references, nop lanes omitted
 // (empty steps keep their braces), gather_dyn segments hoisted into

@@ -179,7 +179,9 @@ TEST(HostExecutor, OversubscribedStillCompletes) {
   const std::size_t n = 8;
   pram::Program p = with_inputs(pram::make_prefix_sum(n),
                                 {1, 1, 1, 1, 1, 1, 1, 1});
-  HostExecutor ex(p, make_cfg(26));
+  HostExecConfig cfg = make_cfg(26);
+  cfg.os_threads = 8;
+  HostExecutor ex(p, cfg);
   const auto res = ex.run();
   ASSERT_TRUE(res.completed) << "work=" << res.total_work;
   EXPECT_EQ(res.memory[pram::prefix_sum_var(n, 7)], 8u);

@@ -1,9 +1,9 @@
-#include "host/host_agreement.h"
-
 #include <gtest/gtest.h>
 
-#include <set>
+#include <functional>
+#include <vector>
 
+#include "host/host_executor.h"
 #include "host/host_memory.h"
 
 namespace apex::host {
@@ -47,74 +47,120 @@ TEST(HostMemory, OutOfRangeThrows) {
   EXPECT_THROW(mem.write(5, 1, 1), std::out_of_range);
 }
 
-HostConfig make_cfg(std::size_t threads, std::uint64_t seed) {
-  HostConfig cfg;
-  cfg.nthreads = threads;
+// --- bin-array agreement as a one-step program -------------------------
+//
+// Standalone agreement (Theorem 1's setting) is a one-step program on the
+// host executor: processor i evaluates one instruction writing variable i,
+// so bin i agrees on one value.  agreed_values() checks the scannable
+// Theorem 1 properties at quiescence: accessibility (at least half the
+// upper cells carry the step's stamp) and uniqueness (they all hold one
+// value).
+
+pram::Program one_step(std::size_t procs,
+                       const std::function<pram::Instr(std::uint32_t)>& task) {
+  pram::ProgramBuilder b(procs, procs);
+  b.step().all([&](std::size_t i) {
+    return task(static_cast<std::uint32_t>(i));
+  });
+  return b.build();
+}
+
+/// Runs `p` and returns each bin's agreed value; every bin must have agreed,
+/// on the value the Copy subphase committed.
+std::vector<std::uint64_t> agree(const pram::Program& p, HostExecConfig cfg) {
+  HostExecutor ex(p, cfg);
+  const HostExecResult res = ex.run();
+  EXPECT_TRUE(res.completed) << res.error;
+  EXPECT_EQ(res.lost_commits, 0u);
+  EXPECT_GT(res.total_work, 0u);
+  const auto agreed = ex.agreed_values(0);
+  std::vector<std::uint64_t> values;
+  for (std::size_t i = 0; i < p.nthreads(); ++i) {
+    EXPECT_TRUE(agreed[i].has_value()) << "bin " << i;
+    values.push_back(agreed[i].value_or(0));
+    EXPECT_EQ(values[i], res.memory[i]) << "bin " << i;
+  }
+  return values;
+}
+
+HostExecConfig seeded(std::uint64_t seed) {
+  HostExecConfig cfg;
   cfg.seed = seed;
   return cfg;
 }
 
-TEST(HostAgreement, ReachesAgreementOnRealThreads) {
-  HostAgreement ha(make_cfg(4, 1),
-                   [](std::size_t, apex::Rng& rng) { return rng.below(1000); });
-  const auto res = ha.run(30.0);
-  ASSERT_TRUE(res.satisfied) << "work=" << res.total_work;
-  EXPECT_GE(res.phase, 1u);
-  EXPECT_EQ(res.values.size(), 4u);
-  for (auto v : res.values) EXPECT_LT(v, 1000u);
-  EXPECT_GT(res.total_work, 0u);
-  EXPECT_GT(res.cycles, 0u);
+TEST(StepAgreement, ReachesAgreementOnRealThreads) {
+  const auto values = agree(one_step(4, [](std::uint32_t i) {
+                              return pram::Instr::rand_below(i, 1000);
+                            }),
+                            seeded(1));
+  for (auto v : values) EXPECT_LT(v, 1000u);
 }
 
-TEST(HostAgreement, UniquenessHoldsInUpperHalf) {
-  HostAgreement ha(make_cfg(4, 2), [](std::size_t, apex::Rng& rng) {
-    return rng.below(1ULL << 30);
+TEST(StepAgreement, UniquenessHoldsInUpperHalf) {
+  // agreed_values() is engaged only where every stamped upper cell holds the
+  // same value, so agree() failing no bin is the uniqueness property.
+  const auto values = agree(one_step(4, [](std::uint32_t i) {
+                              return pram::Instr::rand_below(i, 1ULL << 30);
+                            }),
+                            seeded(2));
+  for (auto v : values) EXPECT_LT(v, 1ULL << 30);
+}
+
+TEST(StepAgreement, ConstantTaskAgreesOnOnlyValidValue) {
+  const auto values = agree(one_step(4, [](std::uint32_t i) {
+                              return pram::Instr::constant(i, 100 + i);
+                            }),
+                            seeded(3));
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(values[i], 100 + i);
+}
+
+TEST(StepAgreement, WorksWithMoreThreadsThanCores) {
+  // P = T = 8: oversubscription produces exactly the preemption asynchrony
+  // the paper targets; the protocol must still converge.
+  HostExecConfig cfg = seeded(4);
+  cfg.os_threads = 8;
+  const auto p = one_step(8, [](std::uint32_t i) {
+    return pram::Instr::rand_below(i, 64);
   });
-  const auto res = ha.run(30.0);
-  ASSERT_TRUE(res.satisfied);
-  // The threads are stopped now; cells of the observed phase that survived
-  // its successor's overwrites must all still carry the captured value.
-  for (std::size_t i = 0; i < 4; ++i) {
-    const auto uh = ha.upper_half_values(i, res.phase);
-    ASSERT_LE(uh.size(), 1u) << "bin " << i;
-    if (!uh.empty()) {
-      EXPECT_EQ(uh[0], res.values[i]) << "bin " << i;
-    }
-  }
+  EXPECT_EQ(HostExecutor(p, cfg).os_threads(), 8u);
+  for (auto v : agree(p, cfg)) EXPECT_LT(v, 64u);
 }
 
-TEST(HostAgreement, DeterministicTaskAgreesOnOnlyValidValue) {
-  HostAgreement ha(make_cfg(4, 3),
-                   [](std::size_t i, apex::Rng&) { return 100 + i; });
-  const auto res = ha.run(30.0);
-  ASSERT_TRUE(res.satisfied);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(res.values[i], 100 + i);
+TEST(StepAgreement, OnlyTheFinalStepsBinsAreExact) {
+  // The next phase recycles a step's bins, so step 0's stamp survives in too
+  // few upper cells once step 1 has run; the final step's bins stay exact.
+  // T = 1 makes the interleaving, and so this outcome, a function of the
+  // seed.
+  pram::ProgramBuilder b(4, 8);
+  b.step().all([](std::size_t i) {
+    return pram::Instr::rand_below(static_cast<std::uint32_t>(i), 1000);
+  });
+  b.step().all([](std::size_t i) {
+    return pram::Instr::constant(static_cast<std::uint32_t>(4 + i), 7);
+  });
+  const pram::Program p = b.build();
+  HostExecConfig cfg = seeded(5);
+  cfg.os_threads = 1;
+  HostExecutor ex(p, cfg);
+  ASSERT_TRUE(ex.run().completed);
+  for (const auto& v : ex.agreed_values(0)) EXPECT_FALSE(v.has_value());
+  for (const auto& v : ex.agreed_values(1)) EXPECT_EQ(v, 7u);
+  EXPECT_THROW(ex.agreed_values(2), std::out_of_range);
 }
 
-TEST(HostAgreement, WorksWithMoreThreadsThanCores) {
-  // Oversubscription produces exactly the preemption asynchrony the paper
-  // targets; the protocol must still converge.
-  HostAgreement ha(make_cfg(8, 4),
-                   [](std::size_t, apex::Rng& rng) { return rng.below(64); });
-  const auto res = ha.run(60.0);
-  EXPECT_TRUE(res.satisfied) << "work=" << res.total_work;
-}
-
-TEST(HostAgreement, DistributionRoughlyPreservedAcrossRuns) {
+TEST(StepAgreement, DistributionRoughlyPreservedAcrossRuns) {
   // Claim 8 smoke test on real threads: fair coins should not be heavily
   // biased by OS scheduling (loose 3:1 bound over 48 samples).
+  const auto p = one_step(4, [](std::uint32_t i) {
+    return pram::Instr::coin(i, 0.5);
+  });
   int ones = 0, total = 0;
-  for (std::uint64_t seed = 0; seed < 12; ++seed) {
-    HostAgreement ha(make_cfg(4, 100 + seed), [](std::size_t, apex::Rng& rng) {
-      return rng.coin(0.5) ? 1 : 0;
-    });
-    const auto res = ha.run(30.0);
-    ASSERT_TRUE(res.satisfied);
-    for (auto v : res.values) {
+  for (std::uint64_t seed = 0; seed < 12; ++seed)
+    for (auto v : agree(p, seeded(100 + seed))) {
       ones += static_cast<int>(v);
       ++total;
     }
-  }
   EXPECT_GT(ones, total / 4);
   EXPECT_LT(ones, 3 * total / 4);
 }

@@ -5,7 +5,8 @@
 //     identical memory image, run to run), and deterministic kernels are
 //     bit-for-bit the synchronous reference;
 //   * oversubscription in both directions (T > cores, os_threads > P) is
-//     legal — os_threads clamps to P, a worker needs a processor to drive;
+//     legal — os_threads clamps to P, a worker needs a processor to drive —
+//     and the default (0) is the hardware thread count, not T = P;
 //   * every interleave policy and the seq_cst fidelity fallback produce
 //     audit-clean, invariant-satisfying runs;
 //   * the post-join repair pass re-commits an audited-stale slot from its
@@ -14,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
 #include <vector>
 
 #include "pram/interp.h"
@@ -89,16 +92,9 @@ TEST(HostVirtual, MoreWorkerThreadsThanCores) {
   // (or detectably damaged — retried on a fresh seed).
   const auto* spec = pram::find_workload("prefix");
   const pram::Program p = spec->make(16);
-  for (std::uint64_t attempt = 0; attempt < 4; ++attempt) {
-    HostExecConfig cfg = virt_cfg(93 + attempt, 16, 512.0);
-    HostExecutor ex(p, cfg);
-    EXPECT_EQ(ex.os_threads(), 16u);
-    const auto res = ex.run();
-    ASSERT_TRUE(res.completed) << res.error;
-    if (res.lost_commits != 0 && attempt < 3) continue;
-    expect_matches_reference("prefix", 16, res);
-    return;
-  }
+  const HostExecConfig cfg = virt_cfg(93, 16, 512.0);
+  EXPECT_EQ(HostExecutor(p, cfg).os_threads(), 16u);
+  expect_matches_reference("prefix", 16, run_until_clean(p, cfg).result);
 }
 
 TEST(HostVirtual, OsThreadsClampedToProcessorCount) {
@@ -109,6 +105,14 @@ TEST(HostVirtual, OsThreadsClampedToProcessorCount) {
   EXPECT_EQ(ex.os_threads(), 4u);
   const auto res = ex.run();
   expect_matches_reference("prefix", 4, res);
+
+  // The default (os_threads = 0) is the hardware thread count, clamped to
+  // [1, P] — not one thread per processor.
+  const pram::Program wide = pram::ProgramBuilder(64, 1).build();
+  const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  EXPECT_EQ(HostExecutor(wide, HostExecConfig{}).os_threads(),
+            std::min<std::size_t>(hw, 64));
 }
 
 TEST(HostVirtual, InterleavePoliciesAllProduceValidRuns) {
@@ -219,6 +223,37 @@ TEST(HostVirtual, RepairDisabledLeavesAuditFinding) {
   EXPECT_EQ(res.lost_commits, 1u);  // detected, reported, NOT silently fixed
 }
 
+TEST(HostVirtual, RunUntilCleanRetriesLostCommitsOnFreshSeeds) {
+  // The retry policy: an attempt left with lost commits (repair off, one
+  // slot damaged) is rerun; lost commits are summed over the attempts, and
+  // damage on every attempt stops at the cap with the last result untrusted.
+  const auto* spec = pram::find_workload("prefix");
+  const std::size_t n = 8;
+  const pram::Program p = spec->make(n);
+  HostExecConfig cfg = virt_cfg(101, 1);
+  cfg.repair = false;
+  const std::uint32_t want =
+      static_cast<std::uint32_t>(pram::stamp_of_step(
+          static_cast<std::uint32_t>(p.nsteps() - 1)));
+  // Every attempt has the same layout, so one executor gives the address.
+  const std::size_t slot = HostExecutor(p, cfg).var_slot_addr(
+      pram::prefix_sum_var(n, n - 1), want);
+  int faults = 1;
+  cfg.preaudit_fault = [&](HostMemory& mem) {
+    if (faults-- > 0) mem.write(slot, 424242, want - 4);
+  };
+  const HostRun run = run_until_clean(p, cfg);
+  EXPECT_EQ(run.attempts, 2);
+  EXPECT_EQ(run.lost_commits, 1u);
+  expect_matches_reference("prefix", n, run.result);
+
+  faults = 100;
+  const HostRun stuck = run_until_clean(p, cfg);
+  EXPECT_EQ(stuck.attempts, 4);
+  EXPECT_EQ(stuck.lost_commits, 4u);
+  EXPECT_EQ(stuck.result.lost_commits, 1u);
+}
+
 TEST(HostVirtual, UnrepairableSlotStaysLost) {
   // Damage a variable whose last writer ran early in the program: by
   // quiescence its bin has been recycled by later phases, so the agreed
@@ -250,16 +285,9 @@ TEST(HostVirtual, LargeInstanceOnTwoThreads) {
   // P = 64 logical processors on T = 2 OS threads: the configuration the
   // one-thread-per-processor design could never run sensibly.  spmv's
   // computed-index gathers exercise the run-time-resolved operand path.
-  for (std::uint64_t attempt = 0; attempt < 4; ++attempt) {
-    const auto* spec = pram::find_workload("spmv");
-    const pram::Program p = spec->make(64);
-    HostExecutor ex(p, virt_cfg(100 + attempt, 2));
-    const auto res = ex.run();
-    ASSERT_TRUE(res.completed) << res.error;
-    if (res.lost_commits != 0 && attempt < 3) continue;
-    expect_matches_reference("spmv", 64, res);
-    return;
-  }
+  const pram::Program p = pram::find_workload("spmv")->make(64);
+  expect_matches_reference("spmv", 64,
+                           run_until_clean(p, virt_cfg(100, 2)).result);
 }
 
 }  // namespace

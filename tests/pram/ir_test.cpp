@@ -71,6 +71,13 @@ TEST(Instr, ToStringMentionsOperands) {
   EXPECT_NE(s.find("v3"), std::string::npos);
   EXPECT_NE(s.find("v1"), std::string::npos);
   EXPECT_NE(s.find("v2"), std::string::npos);
+  // Exact renderings (what `apexcli compile` prints) for the ops the
+  // tutorial golden does not cover.
+  EXPECT_EQ(Instr::copy(35, 27).to_string(), "copy v35 <- v27");
+  EXPECT_EQ(Instr::and_(25, 88, 96).to_string(), "and v25 <- v88, v96");
+  EXPECT_EQ(Instr::or_(81, 81, 113).to_string(), "or v81 <- v81, v113");
+  EXPECT_EQ(Instr::eq(96, 7, 144).to_string(), "eq v96 <- v7, v144");
+  EXPECT_EQ(Instr::mul(97, 81, 89).to_string(), "mul v97 <- v81, v89");
 }
 
 TEST(Instr, CoinQuantization) {

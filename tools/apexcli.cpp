@@ -13,15 +13,18 @@
 //       through the execution scheme and verify its final-memory
 //       invariants.  --engine=host runs it on the virtualized real-thread
 //       executor instead of the simulator: P = n logical processors on
-//       --threads OS threads (0 = one per processor), --interleave=
-//       rr|random|block|partition (partition = weight-balanced placement
-//       from the workload's reported per-processor weights), --alpha=N
-//       clock updates per tick, --seq-cst for the fidelity memory-order
-//       fallback — which is how the large registry instances (n = 64/128,
-//       and the graph-scale 1e4/1e5 CSR kernels) run on a laptop.
+//       --threads OS threads (default: the hardware threads, at most P),
+//       --interleave=rr|random|block|partition (partition = weight-balanced
+//       placement from the workload's reported per-processor weights),
+//       --alpha=N clock updates per tick, --seq-cst for the fidelity
+//       memory-order fallback — which is how the large registry instances
+//       (n = 64/128, and the graph-scale 1e4/1e5 CSR kernels) run on a
+//       laptop.  A run with unrepairable preemption damage is retried on a
+//       fresh seed (host::run_until_clean).
 //
 //   apexcli host   [--threads=4] [--seed=1]
-//       run bin-array agreement on real std::threads.
+//       run bin-array agreement on real std::threads: a one-step program
+//       with P = T = --threads, checked bin by bin at quiescence.
 //
 //   apexcli sweep  [--n=16,32,64] [--sched=uniform,burst] [--seeds=3]
 //                  [--jobs=1] [--beta=8] [--csv]
@@ -164,97 +167,86 @@ std::string workload_n_range(const pram::WorkloadSpec& spec) {
   if (!spec.scale_ns.empty()) {
     s += "; registered scale instances:";
     for (const std::size_t sn : spec.scale_ns)
-      s += " " + std::to_string(sn);
+      s += ' ' + std::to_string(sn);
   }
   return s;
 }
 
-/// `apexcli exec FILE.pram`: compile a kernel-language source through the
-/// front-end and run it on the chosen engine — the simulator execution
-/// scheme (batched or single_step grant engine, with the produced-trace
-/// consistency check attached) or the virtualized host executor.  A
-/// deterministic program is additionally diffed bit-for-bit against the
-/// reference interpreter's replay from zero memory, so `exec` on a .pram
-/// file is a full differential run, not just "it didn't crash".
-int run_pram_file(const Args& a, const std::string& path) {
-  lang::SourceFile src;
-  const lang::CompileResult comp = lang::compile_file(path, src);
-  if (!comp.ok()) {
-    std::fputs(lang::render_diagnostics(src, comp.diagnostics).c_str(),
-               stderr);
-    return 1;
+/// The engine flags both `exec` paths accept.  Host: P = the program's
+/// processors on --threads OS threads; partition placement needs the
+/// per-processor weights only registry graph workloads report (`spec` is
+/// null for a .pram source).  Usage errors exit 2.
+host::HostExecConfig host_config(const Args& a, const pram::WorkloadSpec* spec,
+                                 std::size_t n) {
+  host::HostExecConfig cfg;
+  cfg.seed = a.u64("seed", 1);
+  cfg.os_threads = a.u64("threads", cfg.os_threads);
+  cfg.clock_alpha = static_cast<double>(
+      a.u64("alpha", static_cast<std::uint64_t>(cfg.clock_alpha)));
+  cfg.seq_cst = a.kv.count("seq-cst") != 0;
+  cfg.timeout_seconds = 300.0;
+  cfg.generations = a.u64("generations", cfg.generations);
+  if (!host::parse_interleave(a.str("interleave", "rr"), cfg.interleave)) {
+    std::fprintf(stderr, "unknown --interleave (rr|random|block|partition)\n");
+    std::exit(2);
   }
-  const pram::Program& p = *comp.program;
+  if (cfg.interleave == host::Interleave::kPartition) {
+    if (spec == nullptr || spec->proc_weights == nullptr) {
+      std::fprintf(stderr,
+                   "--interleave=partition needs per-processor weights, "
+                   "which only the registry graph workloads report; use "
+                   "rr|random|block\n");
+      std::exit(2);
+    }
+    cfg.proc_weights = spec->proc_weights(n);
+  }
+  return cfg;
+}
+
+/// Runs `p` on the engine --engine selects and prints the run.  Returns the
+/// final memory of a completed run that can be trusted — host: audit-clean
+/// after host::run_until_clean; simulator: consistent with some synchronous
+/// execution — or nullopt once the reason there is none is printed.
+std::optional<std::vector<pram::Word>> run_engine(
+    const Args& a, const pram::Program& p, const pram::WorkloadSpec* spec,
+    std::size_t n) {
   const std::string engine = a.str("engine", "batched");
-  std::printf("exec: file=%s (%s) procs=%zu vars=%zu steps=%zu engine=%s\n",
-              path.c_str(), p.is_nondeterministic() ? "nondet" : "det",
-              p.nthreads(), p.nvars(), p.nsteps(), engine.c_str());
-  const auto interp_diff = [&p](const std::vector<pram::Word>& mem) {
-    if (p.is_nondeterministic()) return 0;
-    const auto ref = pram::Interpreter(p).run_deterministic(
-        std::vector<pram::Word>(p.nvars(), 0));
-    if (mem != ref.memory) {
-      std::printf("  DIVERGED from reference interpreter replay\n");
-      return 1;
-    }
-    std::printf("  interpreter replay: match\n");
-    return 0;
-  };
   if (engine == "host") {
-    host::HostExecConfig hcfg;
-    hcfg.seed = a.u64("seed", 1);
-    hcfg.os_threads = a.u64("threads", 0);
-    hcfg.clock_alpha = static_cast<double>(
-        a.u64("alpha", hcfg.os_threads == 0 ? 4096 : 48));
-    hcfg.seq_cst = a.kv.count("seq-cst") != 0;
-    hcfg.timeout_seconds = 300.0;
-    hcfg.generations = a.u64("generations", hcfg.generations);
-    if (!host::parse_interleave(a.str("interleave", "rr"), hcfg.interleave)) {
-      std::fprintf(stderr,
-                   "unknown --interleave (rr|random|block|partition)\n");
-      return 2;
+    const host::HostExecConfig cfg = host_config(a, spec, n);
+    std::printf("  T=%zu interleave=%s order=%s alpha=%g\n",
+                host::resolve_os_threads(cfg.os_threads, p.nthreads()),
+                host::interleave_name(cfg.interleave),
+                cfg.seq_cst ? "seq_cst" : "acq_rel", cfg.clock_alpha);
+    const host::HostRun run = host::run_until_clean(p, cfg);
+    const host::HostExecResult& res = run.result;
+    std::printf("  completed=%s work=%llu stamp_misses=%llu attempts=%d "
+                "lost_commits=%zu repaired_commits=%zu wall=%.3fs\n",
+                res.completed ? "yes" : "NO",
+                static_cast<unsigned long long>(res.total_work),
+                static_cast<unsigned long long>(res.stamp_misses),
+                run.attempts, run.lost_commits, run.repaired_commits,
+                res.wall_seconds);
+    if (!res.completed) {
+      std::printf("  aborted: %s\n",
+                  res.error.empty() ? "timeout" : res.error.c_str());
+      return std::nullopt;
     }
-    if (hcfg.interleave == host::Interleave::kPartition) {
-      std::fprintf(stderr,
-                   "--interleave=partition needs per-processor weights, and "
-                   ".pram sources carry none; use rr|random|block\n");
-      return 2;
+    if (res.lost_commits != 0) {
+      std::printf("  unrepairable preemption damage on every attempt\n");
+      return std::nullopt;
     }
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      host::HostExecutor ex(p, hcfg);
-      const auto res = ex.run();
-      std::printf("  completed=%s work=%llu stamp_misses=%llu "
-                  "lost_commits=%zu repaired_commits=%zu wall=%.3fs\n",
-                  res.completed ? "yes" : "NO",
-                  static_cast<unsigned long long>(res.total_work),
-                  static_cast<unsigned long long>(res.stamp_misses),
-                  res.lost_commits, res.repaired_commits, res.wall_seconds);
-      if (!res.completed) {
-        std::printf("  aborted: %s\n",
-                    res.error.empty() ? "timeout" : res.error.c_str());
-        return 1;
-      }
-      if (res.lost_commits != 0) {
-        std::printf("  detected unrepairable preemption damage; re-running "
-                    "on a fresh seed\n");
-        hcfg.seed += 1000;
-        continue;
-      }
-      const std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-      return interp_diff(mem);
-    }
-    std::printf("  damaged on every attempt\n");
-    return 1;
+    return std::vector<pram::Word>(res.memory.begin(), res.memory.end());
   }
   exec::ExecConfig cfg;
   cfg.seed = a.u64("seed", 1);
   cfg.schedule = parse_sched(a.str("sched", "uniform"));
-  cfg.engine = engine == std::string("single_step")
-                   ? sim::GrantEngine::kSingleStep
-                   : sim::GrantEngine::kBatched;
+  cfg.engine = engine == "single_step" ? sim::GrantEngine::kSingleStep
+                                       : sim::GrantEngine::kBatched;
   const exec::Scheme scheme = a.str("scheme", "nondet") == std::string("det")
                                   ? exec::Scheme::kDeterministic
                                   : exec::Scheme::kNondeterministic;
+  std::printf("  scheme=%s sched=%s\n", exec::scheme_name(scheme),
+              sim::schedule_kind_name(cfg.schedule));
   const auto chk = exec::run_checked(p, scheme, cfg);
   std::printf("  completed=%s work=%llu incomplete_tasks=%llu "
               "stamp_misses=%llu\n",
@@ -264,14 +256,80 @@ int run_pram_file(const Args& a, const std::string& path) {
               static_cast<unsigned long long>(chk.result.stamp_misses));
   if (!chk.result.completed) {
     std::printf("  did not complete within budget\n");
-    return 1;
+    return std::nullopt;
   }
   if (!chk.consistency_error.empty()) {
     std::printf("  INCONSISTENT: %s\n", chk.consistency_error.c_str());
-    return 1;
+    return std::nullopt;
   }
   std::printf("  consistency: ok\n");
-  return interp_diff(chk.result.memory);
+  return chk.result.memory;
+}
+
+/// `apexcli exec FILE.pram`: compile a kernel-language source through the
+/// front-end and run it on the chosen engine (run_engine).  A deterministic
+/// program is additionally diffed bit-for-bit against the reference
+/// interpreter's replay from zero memory, so `exec` on a .pram file is a
+/// full differential run, not just "it didn't crash".
+int run_pram_file(const Args& a, const std::string& path) {
+  lang::SourceFile src;
+  const lang::CompileResult comp = lang::compile_file(path, src);
+  if (!comp.ok()) {
+    std::fputs(lang::render_diagnostics(src, comp.diagnostics).c_str(),
+               stderr);
+    return 1;
+  }
+  const pram::Program& p = *comp.program;
+  std::printf("exec: file=%s (%s) procs=%zu vars=%zu steps=%zu engine=%s\n",
+              path.c_str(), p.is_nondeterministic() ? "nondet" : "det",
+              p.nthreads(), p.nvars(), p.nsteps(),
+              a.str("engine", "batched").c_str());
+  const auto mem = run_engine(a, p, nullptr, 0);
+  if (!mem) return 1;
+  if (p.is_nondeterministic()) return 0;
+  const auto ref = pram::Interpreter(p).run_deterministic(
+      std::vector<pram::Word>(p.nvars(), 0));
+  if (*mem != ref.memory) {
+    std::printf("  DIVERGED from reference interpreter replay\n");
+    return 1;
+  }
+  std::printf("  interpreter replay: match\n");
+  return 0;
+}
+
+/// A registry workload built at --n (default 8), for `exec` and `emit`.
+struct LoadedWorkload {
+  const pram::WorkloadSpec* spec;
+  std::size_t n;
+  pram::Program program;
+};
+
+/// Looks `name` up in the registry and builds it at --n.  An unknown name,
+/// an unsupported n, or a factory rejection is a usage error: exit 2 with
+/// the valid range.
+LoadedWorkload load_workload(const Args& a, const std::string& name) {
+  const pram::WorkloadSpec* spec = pram::find_workload(name);
+  if (spec == nullptr) {
+    std::fprintf(stderr, "unknown workload '%s'; have: %s\n", name.c_str(),
+                 pram::workload_names().c_str());
+    std::exit(2);
+  }
+  const std::size_t n = a.u64("n", 8);
+  if (!pram::workload_supports_n(*spec, n)) {
+    std::fprintf(stderr, "workload '%s' does not support n=%zu (valid: %s)\n",
+                 name.c_str(), n, workload_n_range(*spec).c_str());
+    std::exit(2);
+  }
+  // Registry-legal n can still be rejected by the factory (e.g. a variable
+  // layout whose ids overflow uint32 at extreme n); surface that as a clean
+  // diagnostic instead of an uncaught-exception backtrace.
+  try {
+    return {spec, n, spec->make(n)};
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "workload '%s' rejected n=%zu: %s (valid: %s)\n",
+                 name.c_str(), n, e.what(), workload_n_range(*spec).c_str());
+    std::exit(2);
+  }
 }
 
 int cmd_exec(const Args& a) {
@@ -283,133 +341,14 @@ int cmd_exec(const Args& a) {
     }
     return run_pram_file(a, a.positional[0]);
   }
-  const std::string wl = a.str("workload", "luby");
-  const pram::WorkloadSpec* spec = pram::find_workload(wl);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown workload '%s'; have: %s\n", wl.c_str(),
-                 pram::workload_names().c_str());
-    return 2;
-  }
-  const std::size_t n = a.u64("n", 8);
-  if (!pram::workload_supports_n(*spec, n)) {
-    std::fprintf(stderr, "workload '%s' does not support n=%zu (valid: %s)\n",
-                 wl.c_str(), n, workload_n_range(*spec).c_str());
-    return 2;
-  }
-  // Registry-legal n can still be rejected by the factory (e.g. a variable
-  // layout whose ids overflow uint32 at extreme n); surface that as a clean
-  // diagnostic instead of an uncaught-exception backtrace.
-  std::optional<pram::Program> made;
-  try {
-    made.emplace(spec->make(n));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "workload '%s' rejected n=%zu: %s (valid: %s)\n",
-                 wl.c_str(), n, e.what(), workload_n_range(*spec).c_str());
-    return 2;
-  }
-  const pram::Program& p = *made;
-  if (a.str("engine", "batched") == std::string("host")) {
-    // The virtualized host executor: P = n logical processors multiplexed
-    // onto --threads OS threads (0 = one thread per processor, the legacy
-    // shape).  Real preemption replaces the simulated adversary, so a rare
-    // detected-damage run (lost_commits after repair) is retried on a
-    // fresh seed rather than trusted.
-    host::HostExecConfig hcfg;
-    hcfg.seed = a.u64("seed", 1);
-    hcfg.os_threads = a.u64("threads", 0);
-    hcfg.clock_alpha = static_cast<double>(
-        a.u64("alpha", hcfg.os_threads == 0 ? 4096 : 48));
-    hcfg.seq_cst = a.kv.count("seq-cst") != 0;
-    hcfg.timeout_seconds = 300.0;
-    hcfg.generations = a.u64("generations", hcfg.generations);
-    if (!host::parse_interleave(a.str("interleave", "rr"), hcfg.interleave)) {
-      std::fprintf(stderr,
-                   "unknown --interleave (rr|random|block|partition)\n");
-      return 2;
-    }
-    if (hcfg.interleave == host::Interleave::kPartition) {
-      if (spec->proc_weights == nullptr) {
-        std::fprintf(stderr,
-                     "--interleave=partition needs per-processor weights, "
-                     "and workload '%s' does not report any; use "
-                     "rr|random|block\n",
-                     wl.c_str());
-        return 2;
-      }
-      hcfg.proc_weights = spec->proc_weights(n);
-    }
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      host::HostExecutor ex(p, hcfg);
-      const auto res = ex.run();
-      std::printf(
-          "exec: workload=%s (%s%s) n=%zu steps=%zu engine=host T=%zu "
-          "interleave=%s order=%s alpha=%g\n",
-          wl.c_str(), spec->deterministic ? "det" : "nondet",
-          spec->irregular ? ", irregular" : "", n, p.nsteps(),
-          ex.os_threads(), host::interleave_name(hcfg.interleave),
-          hcfg.seq_cst ? "seq_cst" : "acq_rel", hcfg.clock_alpha);
-      std::printf(
-          "  completed=%s work=%llu stamp_misses=%llu lost_commits=%zu "
-          "repaired_commits=%zu wall=%.3fs\n",
-          res.completed ? "yes" : "NO",
-          static_cast<unsigned long long>(res.total_work),
-          static_cast<unsigned long long>(res.stamp_misses),
-          res.lost_commits, res.repaired_commits, res.wall_seconds);
-      if (!res.completed) {
-        std::printf("  aborted: %s\n",
-                    res.error.empty() ? "timeout" : res.error.c_str());
-        return 1;
-      }
-      if (res.lost_commits != 0) {
-        std::printf("  detected unrepairable preemption damage; re-running "
-                    "on a fresh seed\n");
-        hcfg.seed += 1000;
-        continue;
-      }
-      const std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-      const std::string verdict = spec->check(n, mem);
-      if (!verdict.empty()) {
-        std::printf("  INVARIANT VIOLATION: %s\n", verdict.c_str());
-        return 1;
-      }
-      std::printf("  invariants: ok\n");
-      return 0;
-    }
-    std::printf("  damaged on every attempt\n");
-    return 1;
-  }
-  exec::ExecConfig cfg;
-  cfg.seed = a.u64("seed", 1);
-  cfg.schedule = parse_sched(a.str("sched", "uniform"));
-  cfg.engine = a.str("engine", "batched") == std::string("single_step")
-                   ? sim::GrantEngine::kSingleStep
-                   : sim::GrantEngine::kBatched;
-  const exec::Scheme scheme =
-      a.str("scheme", "nondet") == std::string("det")
-          ? exec::Scheme::kDeterministic
-          : exec::Scheme::kNondeterministic;
-
-  const auto chk = exec::run_checked(p, scheme, cfg);
-  std::printf("exec: workload=%s (%s%s) n=%zu steps=%zu scheme=%s sched=%s\n",
-              wl.c_str(), spec->deterministic ? "det" : "nondet",
-              spec->irregular ? ", irregular" : "", n, p.nsteps(),
-              exec::scheme_name(scheme),
-              sim::schedule_kind_name(cfg.schedule));
-  std::printf("  completed=%s work=%llu incomplete_tasks=%llu "
-              "stamp_misses=%llu\n",
-              chk.result.completed ? "yes" : "NO",
-              static_cast<unsigned long long>(chk.result.total_work),
-              static_cast<unsigned long long>(chk.result.incomplete_tasks),
-              static_cast<unsigned long long>(chk.result.stamp_misses));
-  if (!chk.result.completed) {
-    std::printf("  did not complete within budget\n");
-    return 1;
-  }
-  if (!chk.consistency_error.empty()) {
-    std::printf("  INCONSISTENT: %s\n", chk.consistency_error.c_str());
-    return 1;
-  }
-  const std::string verdict = spec->check(n, chk.result.memory);
+  const LoadedWorkload w = load_workload(a, a.str("workload", "luby"));
+  std::printf("exec: workload=%s (%s%s) n=%zu steps=%zu engine=%s\n",
+              w.spec->name, w.spec->deterministic ? "det" : "nondet",
+              w.spec->irregular ? ", irregular" : "", w.n, w.program.nsteps(),
+              a.str("engine", "batched").c_str());
+  const auto mem = run_engine(a, w.program, w.spec, w.n);
+  if (!mem) return 1;
+  const std::string verdict = w.spec->check(w.n, *mem);
   if (!verdict.empty()) {
     std::printf("  INVARIANT VIOLATION: %s\n", verdict.c_str());
     return 1;
@@ -441,9 +380,8 @@ int cmd_compile(const Args& a) {
 }
 
 /// `apexcli emit --workload=NAME --n=N`: render a registry kernel as
-/// canonical .pram source (lang::emit_pram) on stdout.  This is the
-/// regeneration path for the shipped kernels/*.pram files; the round-trip
-/// test pins compile(emit(p)) == p bit-for-bit.
+/// canonical .pram source (lang::emit_pram) on stdout; the round-trip test
+/// pins compile(emit(p)) == p bit-for-bit.
 int cmd_emit(const Args& a) {
   const std::string wl = a.str("workload", "");
   if (wl.empty()) {
@@ -451,50 +389,49 @@ int cmd_emit(const Args& a) {
                  pram::workload_names().c_str());
     return 2;
   }
-  const pram::WorkloadSpec* spec = pram::find_workload(wl);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown workload '%s'; have: %s\n", wl.c_str(),
-                 pram::workload_names().c_str());
-    return 2;
-  }
-  const std::size_t n = a.u64("n", 8);
-  if (!pram::workload_supports_n(*spec, n)) {
-    std::fprintf(stderr, "workload '%s' does not support n=%zu (valid: %s)\n",
-                 wl.c_str(), n, workload_n_range(*spec).c_str());
-    return 2;
-  }
-  std::optional<pram::Program> made;
-  try {
-    made.emplace(spec->make(n));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "workload '%s' rejected n=%zu: %s (valid: %s)\n",
-                 wl.c_str(), n, e.what(), workload_n_range(*spec).c_str());
-    return 2;
-  }
-  const std::string name = wl + "_n" + std::to_string(n);
+  const LoadedWorkload w = load_workload(a, wl);
+  const std::string n = std::to_string(w.n);
   const std::string comment =
-      "registry kernel '" + wl + "' at n=" + std::to_string(n) +
+      "registry kernel '" + wl + "' at n=" + n +
       ", rendered by the canonical emitter.\nRegenerate with: apexcli emit "
-      "--workload=" + wl + " --n=" + std::to_string(n);
-  std::fputs(lang::emit_pram(*made, name, comment).c_str(), stdout);
+      "--workload=" + wl + " --n=" + n;
+  std::fputs(lang::emit_pram(w.program, wl + "_n" + n, comment).c_str(),
+             stdout);
   return 0;
 }
 
+/// `apexcli host`: standalone bin-array agreement on real threads, as a
+/// one-step program on the host executor — P = T = --threads processors,
+/// each drawing one rand_below(1000) value.  Exit 0 only if the run
+/// completed, is audit-clean, and every bin agreed on its committed value
+/// (HostExecutor::agreed_values, the Theorem 1 check at quiescence).
 int cmd_host(const Args& a) {
-  host::HostConfig cfg;
-  cfg.nthreads = a.u64("threads", 4);
-  cfg.seed = a.u64("seed", 1);
-  host::HostAgreement ha(cfg, [](std::size_t, apex::Rng& rng) {
-    return rng.below(1000);
+  const std::size_t procs = a.u64("threads", 4);
+  if (procs == 0) {
+    std::fprintf(stderr, "host: --threads must be >= 1\n");
+    return 2;
+  }
+  pram::ProgramBuilder b(procs, procs);
+  b.step().all([](std::size_t i) {
+    return pram::Instr::rand_below(static_cast<std::uint32_t>(i), 1000);
   });
-  const auto res = ha.run(20.0);
-  std::printf("host agreement: threads=%zu satisfied=%s phase=%u "
-              "cycles=%llu work=%llu wall=%.3fs\n",
-              cfg.nthreads, res.satisfied ? "yes" : "NO", res.phase,
-              static_cast<unsigned long long>(res.cycles),
+  const pram::Program p = b.build();
+  host::HostExecConfig cfg;
+  cfg.os_threads = procs;
+  cfg.seed = a.u64("seed", 1);
+  host::HostExecutor ex(p, cfg);
+  const host::HostExecResult res = ex.run();
+  const auto agreed = ex.agreed_values(0);
+  std::size_t ok = 0;
+  for (std::size_t i = 0; i < procs; ++i)
+    ok += res.completed && agreed[i] == res.memory[i];
+  std::printf("host agreement: procs=%zu threads=%zu completed=%s "
+              "lost_commits=%zu agreed=%zu/%zu work=%llu wall=%.3fs\n",
+              procs, ex.os_threads(), res.completed ? "yes" : "NO",
+              res.lost_commits, ok, procs,
               static_cast<unsigned long long>(res.total_work),
               res.wall_seconds);
-  return res.satisfied ? 0 : 1;
+  return res.completed && res.lost_commits == 0 && ok == procs ? 0 : 1;
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -715,14 +652,14 @@ WorkloadPerfRow run_workload_perf(const char* name, std::size_t n, int reps) {
 }
 
 /// Host-substrate throughput: a registered workload through the virtualized
-/// HostExecutor (P = n logical processors on T OS threads; T = 0 is the
-/// legacy one-thread-per-processor shape).  Best-of-reps wall clock; rows
-/// land in BENCH_core.json as `host_rows`, putting the scaling half of the
-/// benchmark story on the same committed trajectory as the simulator core.
+/// HostExecutor (P = n logical processors on T OS threads).  Best-of-reps
+/// wall clock; rows land in BENCH_core.json as `host_rows`, putting the
+/// scaling half of the benchmark story on the same committed trajectory as
+/// the simulator core.
 struct HostPerfRow {
   const char* workload;
   std::size_t n;        ///< P.
-  std::size_t threads;  ///< T (0 = legacy shape).
+  std::size_t threads;  ///< T.
   const char* policy;
   const char* order;
   double alpha;
@@ -752,32 +689,25 @@ HostPerfRow run_host_perf(const char* name, std::size_t n, std::size_t T,
     cfg.seq_cst = seq_cst;
     cfg.clock_alpha = alpha;
     cfg.timeout_seconds = 300.0;
-    // A rep with detected preemption damage is retried on a fresh seed
-    // (same policy as bench_e12 and `exec --engine=host`): the damage is
-    // counted on the row, but an untrusted run may neither win the
-    // best-of-reps slot nor latch the row not-ok.
-    bool clean = false;
-    for (int attempt = 0; attempt < 3 && !clean; ++attempt) {
-      host::HostExecutor ex(p, cfg);
-      const auto res = ex.run();
-      r.completed &= res.completed;
-      r.lost += res.lost_commits;
-      r.repaired += res.repaired_commits;
-      if (!res.completed) break;
-      if (res.lost_commits != 0) {
-        cfg.seed += 1000;
-        continue;
-      }
-      clean = true;
-      std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-      r.ok &= spec->check(n, mem).empty();
-      if (!timed || res.wall_seconds < r.seconds) {
-        r.seconds = res.wall_seconds;
-        r.work = res.total_work;
-        timed = true;
-      }
+    // Detected preemption damage is counted on the row, but an untrusted
+    // attempt may neither win the best-of-reps slot nor latch the row
+    // not-ok: run_until_clean retries it.
+    const host::HostRun run = host::run_until_clean(p, cfg);
+    const host::HostExecResult& res = run.result;
+    r.completed &= res.completed;
+    r.lost += run.lost_commits;
+    r.repaired += run.repaired_commits;
+    if (!res.completed || res.lost_commits != 0) {
+      r.ok = false;
+      continue;
     }
-    r.ok &= clean;
+    std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
+    r.ok &= spec->check(n, mem).empty();
+    if (!timed || res.wall_seconds < r.seconds) {
+      r.seconds = res.wall_seconds;
+      r.work = res.total_work;
+      timed = true;
+    }
   }
   r.work_per_sec =
       r.seconds > 0 ? static_cast<double>(r.work) / r.seconds : 0.0;
@@ -791,8 +721,8 @@ HostPerfRow run_host_perf(const char* name, std::size_t n, std::size_t T,
 /// the same invocation, so the emitted `graph_rows` carry a
 /// machine-relative within-run ratio (partition / rr work-per-sec) that CI
 /// hard-gates alongside the engine ratios.  Single run per config (these
-/// are long, honest protocol executions); a detected-damage run is retried
-/// on a fresh seed, same policy as the host rows.
+/// are long, honest protocol executions) through host::run_until_clean,
+/// like the host rows.
 struct GraphPerfRow {
   const char* workload;
   std::size_t n;
@@ -823,25 +753,19 @@ GraphPerfRow run_graph_perf(const char* name, std::size_t n, std::size_t T,
   cfg.timeout_seconds = 600.0;
   if (il == host::Interleave::kPartition && spec->proc_weights != nullptr)
     cfg.proc_weights = spec->proc_weights(n);
-  bool clean = false;
-  for (int attempt = 0; attempt < 4 && !clean; ++attempt) {
-    host::HostExecutor ex(p, cfg);
-    const auto res = ex.run();
-    r.completed &= res.completed;
-    r.lost += res.lost_commits;
-    r.repaired += res.repaired_commits;
-    if (!res.completed) break;
-    if (res.lost_commits != 0) {
-      cfg.seed += 1000;
-      continue;
-    }
-    clean = true;
+  const host::HostRun run = host::run_until_clean(p, cfg);
+  const host::HostExecResult& res = run.result;
+  r.completed = res.completed;
+  r.lost = run.lost_commits;
+  r.repaired = run.repaired_commits;
+  if (res.completed && res.lost_commits == 0) {
     std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-    r.ok &= spec->check(n, mem).empty();
+    r.ok = spec->check(n, mem).empty();
     r.seconds = res.wall_seconds;
     r.work = res.total_work;
+  } else {
+    r.ok = false;
   }
-  r.ok &= clean;
   r.work_per_sec =
       r.seconds > 0 ? static_cast<double>(r.work) / r.seconds : 0.0;
   return r;
@@ -886,9 +810,9 @@ int cmd_perfbench(const Args& a) {
     wl_rows.push_back(run_workload_perf(name, n, reps));
 
   // Host rows: the virtualized executor's T x P x policy x order grid.
-  // The legacy-shape prefix row (T = 0, alpha = 4096) anchors against the
-  // committed host_pre_virtualization block; the P = 64 rows are the
-  // scaling configurations the one-thread-per-processor design never ran.
+  // The committed host_pre_virtualization block keeps the one-thread-per-
+  // processor shape's numbers; the P = 64 rows are the scaling
+  // configurations that shape never ran.
   const std::size_t hw = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
   struct HostPoint {
@@ -901,7 +825,6 @@ int cmd_perfbench(const Args& a) {
   const auto kBlk = host::Interleave::kBlock;
   const auto kRR = host::Interleave::kRoundRobin;
   std::vector<HostPoint> host_grid = {
-      {"prefix", 8, 0, kRR, false, 4096.0},               // legacy shape
       {"prefix", 8, std::min<std::size_t>(hw, 8), kBlk, false, 4096.0},
       {"spmv", 64, 2, kBlk, false, 48.0},
       {"spmv", 64, 2, kBlk, true, 48.0},                  // fidelity fallback
@@ -990,7 +913,7 @@ int cmd_perfbench(const Args& a) {
     std::printf("\nworkload throughput (full scheme, nondet, batched):\n");
     wt.print(std::cout);
     std::printf("\nhost throughput (virtualized executor, P procs on T "
-                "threads; T=0 = one thread per proc):\n");
+                "threads):\n");
     ht.print(std::cout);
     std::printf("\ngraph-scale throughput (CSR kernels, P=min(n,4096) on "
                 "T=2 threads, alpha=32):\n");
@@ -1101,7 +1024,7 @@ int cmd_perfbench(const Args& a) {
                        std::istreambuf_iterator<char>());
       for (const char* keyname : {"pre_refactor", "host_pre_virtualization",
                                   "pre_observer_batching"}) {
-        const auto key = text.find("\"" + std::string(keyname) + "\"");
+        const auto key = text.find('"' + std::string(keyname) + '"');
         const auto open = text.find('{', key);
         if (key == std::string::npos || open == std::string::npos) continue;
         // Balanced-brace scan that skips JSON string literals, so braces
@@ -1336,8 +1259,8 @@ int usage(const std::string& cmd) {
       "        --seed=1 --engine=batched|single_step|host\n"
       "        (host engine: --threads=T "
       "--interleave=rr|random|block|partition\n"
-      "         --alpha=N --generations=G --seq-cst; T=0 = one thread per\n"
-      "         processor; partition uses the workload's reported\n"
+      "         --alpha=N --generations=G --seq-cst; T=0 = hardware\n"
+      "         threads, at most P; partition uses the workload's reported\n"
       "         per-processor weights)\n"
       "        (workloads: %s)\n"
       "  exec  FILE.pram [--engine=...] [--sched=...] [--seed=1]\n"
