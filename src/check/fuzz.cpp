@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "agreement/testbed.h"
@@ -24,14 +25,6 @@ constexpr sim::Word kSupportMax = 1 << 20;
 /// close to the violation, large enough not to dominate wall time.
 constexpr std::uint64_t kPollInterval = 16;
 
-/// The batched engine may have drawn grants it never executed; the
-/// executed interleaving is exactly the first ticks() entries.
-void trim_to_executed(std::vector<std::size_t>& trace,
-                      const sim::Simulator& sim) {
-  const auto executed = static_cast<std::size_t>(sim.ticks());
-  if (trace.size() > executed) trace.resize(executed);
-}
-
 std::unique_ptr<sim::Schedule> build_adversary(const TrialSpec& spec,
                                                std::size_t nprocs,
                                                apex::Rng rng) {
@@ -43,26 +36,80 @@ std::unique_ptr<sim::Schedule> build_adversary(const TrialSpec& spec,
   return sim::make_schedule(spec.kind, nprocs, rng);
 }
 
-TrialOutcome run_agreement_trial(const TrialSpec& spec, const FuzzConfig& cfg,
-                                 bool record) {
-  TrialOutcome out;
+/// The trial's adversary, captured as the run builds it: the fuzzed
+/// schedule (for its description) and, when recording, the
+/// RecordingSchedule wrapped around it.
+struct Adversary {
+  const TrialSpec& spec;
+  bool record;
   FuzzedSchedule* fz = nullptr;
   RecordingSchedule* rec = nullptr;
 
-  agreement::TestbedConfig tc;
-  tc.n = spec.n;
-  tc.beta = spec.beta;
-  tc.seed = spec.seed;
-  tc.engine = spec.engine;
-  tc.schedule_factory = [&](std::size_t nprocs, apex::Rng rng) {
+  std::unique_ptr<sim::Schedule> make(std::size_t nprocs, apex::Rng rng) {
     auto inner = build_adversary(spec, nprocs, rng);
     if (spec.script == nullptr && spec.fuzzed)
       fz = static_cast<FuzzedSchedule*>(inner.get());
     if (!record) return inner;
     auto wrapped = std::make_unique<RecordingSchedule>(std::move(inner));
     rec = wrapped.get();
-    return std::unique_ptr<sim::Schedule>(std::move(wrapped));
-  };
+    return wrapped;
+  }
+
+  /// For configs that take a schedule factory.
+  auto factory() {
+    return [this](std::size_t nprocs, apex::Rng rng) {
+      return make(nprocs, rng);
+    };
+  }
+
+  /// Copy the schedule description and the executed grant trace into
+  /// `out`.  The batched engine may have drawn grants it never executed;
+  /// the executed interleaving is exactly the first ticks() entries.
+  void report(TrialOutcome& out, const sim::Simulator& sim) const {
+    if (fz != nullptr) out.schedule_desc = fz->describe();
+    if (rec != nullptr) {
+      out.trace = rec->trace();
+      const auto executed = static_cast<std::size_t>(sim.ticks());
+      if (out.trace.size() > executed) out.trace.resize(executed);
+    }
+  }
+};
+
+void fail(TrialOutcome& out, std::string oracle, std::string message) {
+  out.failed = true;
+  out.oracle = std::move(oracle);
+  out.message = std::move(message);
+}
+
+void report_oracles(const OracleSet& set, TrialOutcome& out) {
+  if (const Oracle* o = set.first_failing())
+    fail(out, o->name(), o->failures().front());
+}
+
+/// Run a bare protocol trial to its budget, stopping early once an oracle
+/// fails.
+void run_protocol(sim::Simulator& sim, OracleSet& set, std::uint64_t budget,
+                  TrialOutcome& out) {
+  try {
+    sim.run(budget, [&] { return set.failed(); }, kPollInterval);
+    set.finish(sim);
+    report_oracles(set, out);
+  } catch (const std::exception& e) {
+    fail(out, "exception", e.what());
+  }
+}
+
+TrialOutcome run_agreement_trial(const TrialSpec& spec, const FuzzConfig& cfg,
+                                 bool record) {
+  TrialOutcome out;
+  Adversary adv{spec, record};
+
+  agreement::TestbedConfig tc;
+  tc.n = spec.n;
+  tc.beta = spec.beta;
+  tc.seed = spec.seed;
+  tc.engine = spec.engine;
+  tc.schedule_factory = adv.factory();
   agreement::AgreementTestbed tb(tc, agreement::uniform_task(kSupportMax),
                                  agreement::uniform_support(kSupportMax));
 
@@ -78,25 +125,8 @@ TrialOutcome run_agreement_trial(const TrialSpec& spec, const FuzzConfig& cfg,
   tb.attach(static_cast<sim::StepObserver*>(&set));
   tb.attach(static_cast<agreement::AgreementObserver*>(&set));
 
-  try {
-    tb.simulator().run(
-        spec.budget, [&] { return set.failed(); }, kPollInterval);
-    set.finish(tb.simulator());
-    if (const Oracle* o = set.first_failing()) {
-      out.failed = true;
-      out.oracle = o->name();
-      out.message = o->failures().front();
-    }
-  } catch (const std::exception& e) {
-    out.failed = true;
-    out.oracle = "exception";
-    out.message = e.what();
-  }
-  if (fz != nullptr) out.schedule_desc = fz->describe();
-  if (rec != nullptr) {
-    out.trace = rec->trace();
-    trim_to_executed(out.trace, tb.simulator());
-  }
+  run_protocol(tb.simulator(), set, spec.budget, out);
+  adv.report(out, tb.simulator());
   return out;
 }
 
@@ -104,25 +134,15 @@ TrialOutcome run_consensus_trial(const TrialSpec& spec,
                                  [[maybe_unused]] const FuzzConfig& cfg,
                                  bool record) {
   TrialOutcome out;
-  FuzzedSchedule* fz = nullptr;
-  RecordingSchedule* rec = nullptr;
+  Adversary adv{spec, record};
 
   apex::SeedTree seeds{spec.seed};
-  auto inner = build_adversary(spec, spec.n, seeds.schedule());
-  if (spec.script == nullptr && spec.fuzzed)
-    fz = static_cast<FuzzedSchedule*>(inner.get());
-  if (record) {
-    auto wrapped = std::make_unique<RecordingSchedule>(std::move(inner));
-    rec = wrapped.get();
-    inner = std::move(wrapped);
-  }
-
   consensus::ScanConfig sc;
   sc.n = spec.n;
   sc.seed = spec.seed;
   sc.engine = spec.engine;
   consensus::ScanConsensus scan(sc, agreement::uniform_task(kSupportMax),
-                                std::move(inner));
+                                adv.make(spec.n, seeds.schedule()));
 
   WorkAccountingOracle work;
   ConsensusOracle cons(scan);
@@ -131,64 +151,43 @@ TrialOutcome run_consensus_trial(const TrialSpec& spec,
   set.add(&cons);
   scan.simulator().add_observer(&set);
 
-  try {
-    scan.simulator().run(
-        spec.budget, [&] { return set.failed(); }, kPollInterval);
-    set.finish(scan.simulator());
-    if (const Oracle* o = set.first_failing()) {
-      out.failed = true;
-      out.oracle = o->name();
-      out.message = o->failures().front();
-    }
-  } catch (const std::exception& e) {
-    out.failed = true;
-    out.oracle = "exception";
-    out.message = e.what();
-  }
-  if (fz != nullptr) out.schedule_desc = fz->describe();
-  if (rec != nullptr) {
-    out.trace = rec->trace();
-    trim_to_executed(out.trace, scan.simulator());
-  }
+  run_protocol(scan.simulator(), set, spec.budget, out);
+  adv.report(out, scan.simulator());
   return out;
 }
 
-TrialOutcome run_workload_trial(const TrialSpec& spec, const FuzzConfig& cfg,
-                                bool record) {
-  TrialOutcome out;
-  const pram::WorkloadSpec* wl = pram::find_workload(spec.workload);
-  if (wl == nullptr) {
-    out.failed = true;
-    out.oracle = "exception";
-    out.message = "unknown workload '" + spec.workload + "'";
-    return out;
-  }
-  FuzzedSchedule* fz = nullptr;
-  RecordingSchedule* rec = nullptr;
+/// Judges an exec run the scheme itself reports clean (completed, no
+/// incomplete tasks) and records any finding in the outcome.
+using CleanVerdict =
+    std::function<void(const exec::ExecResult&, TrialOutcome&)>;
 
-  const pram::Program prog = wl->make(spec.n);
+/// One program through the full execution scheme with the four oracles
+/// attached.  An adversary may legitimately stall completion within the
+/// budget, and the scheme's own w.h.p. failure mode — a subphase ending
+/// with unfinished tasks under an extreme schedule — is self-reported via
+/// incomplete_tasks (the monitor's audit).  `clean_verdict` asserts the
+/// UNCONDITIONAL end-to-end part of the contract on the remaining runs.
+TrialOutcome run_exec_trial(const TrialSpec& spec, const FuzzConfig& cfg,
+                            bool record, const pram::Program& prog,
+                            sim::GrantEngine engine,
+                            const CleanVerdict& clean_verdict) {
+  TrialOutcome out;
+  Adversary adv{spec, record};
   exec::ExecConfig ec;
   ec.seed = spec.seed;
-  ec.engine = spec.engine;
-  ec.schedule_factory = [&](std::size_t nprocs, apex::Rng rng) {
-    auto inner = build_adversary(spec, nprocs, rng);
-    if (spec.script == nullptr && spec.fuzzed)
-      fz = static_cast<FuzzedSchedule*>(inner.get());
-    if (!record) return inner;
-    auto wrapped = std::make_unique<RecordingSchedule>(std::move(inner));
-    rec = wrapped.get();
-    return std::unique_ptr<sim::Schedule>(std::move(wrapped));
-  };
+  ec.engine = engine;
+  ec.schedule_factory = adv.factory();
   exec::Executor ex(prog, exec::Scheme::kNondeterministic, ec);
 
+  const std::size_t n = prog.nthreads();
   WorkAccountingOracle work;
-  ClockOracle clock(ex.clock(), spec.n, cfg.skew_ticks);
+  ClockOracle clock(ex.clock(), n, cfg.skew_ticks);
   // The agreed values are whole-program data, not a fixed per-bin support,
   // so the bin oracle's support predicate is permissive here; its stamp and
   // copy-forward provenance checks (the hard Fig. 2 invariants) stay live.
   BinArrayOracle bins(*ex.bins(), [](std::size_t, sim::Word) { return true; });
   // The Lemma-1 cap is calibrated per phase on the single-phase agreement
-  // corpus; a workload run takes the max over HUNDREDS of phases (bfs at
+  // corpus; a program run takes the max over HUNDREDS of phases (bfs at
   // n=8: ~460), so the legitimate extreme-value tail sits higher.  Measured
   // over a 120-seed fuzzed corpus: worst 74 (bfs n=8), 62 (bfs n=6), <=41
   // for merge/spmv/dag, against single-phase caps of 52.  Doubling the cap
@@ -197,7 +196,7 @@ TrialOutcome run_workload_trial(const TrialSpec& spec, const FuzzConfig& cfg,
   ClobberOracle clobbers(*ex.bins(), ex.clock(),
                          cfg.clobber_bound != 0
                              ? cfg.clobber_bound
-                             : 2 * ClobberOracle::default_bound(spec.n));
+                             : 2 * ClobberOracle::default_bound(n));
   OracleSet set;
   set.add(&work);
   set.add(&clock);
@@ -211,45 +210,40 @@ TrialOutcome run_workload_trial(const TrialSpec& spec, const FuzzConfig& cfg,
         spec.budget != 0 ? spec.budget : exec::Executor::default_budget(prog);
     const auto res = ex.run(budget);
     set.finish(ex.simulator());
-    if (const Oracle* o = set.first_failing()) {
-      out.failed = true;
-      out.oracle = o->name();
-      out.message = o->failures().front();
-    } else if (res.completed && res.incomplete_tasks == 0) {
-      // An adversary may legitimately stall completion within the budget,
-      // and the scheme's own w.h.p. failure mode — a subphase ending with
-      // unfinished tasks under an extreme schedule — is self-reported via
-      // incomplete_tasks (the monitor's audit).  The end-to-end oracles
-      // below assert the UNCONDITIONAL part of the contract: a run the
-      // scheme itself considers clean must be consistent with some valid
-      // synchronous execution and satisfy the workload's invariants.
-      const std::string cons = pram::check_execution_consistency(
-          prog, std::vector<pram::Word>(prog.nvars(), 0), res.produced,
-          res.memory);
-      if (!cons.empty()) {
-        out.failed = true;
-        out.oracle = "workload_consistency";
-        out.message = cons;
-      } else {
-        const std::string verdict = wl->check(spec.n, res.memory);
-        if (!verdict.empty()) {
-          out.failed = true;
-          out.oracle = "workload_invariant";
-          out.message = verdict;
-        }
-      }
-    }
+    report_oracles(set, out);
+    if (!out.failed && res.completed && res.incomplete_tasks == 0)
+      clean_verdict(res, out);
   } catch (const std::exception& e) {
-    out.failed = true;
-    out.oracle = "exception";
-    out.message = e.what();
+    fail(out, "exception", e.what());
   }
-  if (fz != nullptr) out.schedule_desc = fz->describe();
-  if (rec != nullptr) {
-    out.trace = rec->trace();
-    trim_to_executed(out.trace, ex.simulator());
-  }
+  adv.report(out, ex.simulator());
   return out;
+}
+
+TrialOutcome run_workload_trial(const TrialSpec& spec, const FuzzConfig& cfg,
+                                bool record) {
+  const pram::WorkloadSpec* wl = pram::find_workload(spec.workload);
+  if (wl == nullptr) {
+    TrialOutcome out;
+    fail(out, "exception", "unknown workload '" + spec.workload + "'");
+    return out;
+  }
+  const pram::Program prog = wl->make(spec.n);
+  // A clean run must be consistent with some valid synchronous execution
+  // and satisfy the workload's invariants.
+  return run_exec_trial(
+      spec, cfg, record, prog, spec.engine,
+      [&](const exec::ExecResult& res, TrialOutcome& out) {
+        const std::string cons = pram::check_execution_consistency(
+            prog, std::vector<pram::Word>(prog.nvars(), 0), res.produced,
+            res.memory);
+        if (!cons.empty()) {
+          fail(out, "workload_consistency", cons);
+          return;
+        }
+        const std::string verdict = wl->check(spec.n, res.memory);
+        if (!verdict.empty()) fail(out, "workload_invariant", verdict);
+      });
 }
 
 /// Everything a kGrammar trial derives from its seed alone: the generated
@@ -274,7 +268,6 @@ GrammarDraw draw_grammar(std::uint64_t seed) {
 
 TrialOutcome run_grammar_trial(const TrialSpec& spec, const FuzzConfig& cfg,
                                bool record) {
-  TrialOutcome out;
   const GrammarDraw draw = draw_grammar(spec.seed);
 
   // The whole language front-end is under test: generated source must
@@ -282,91 +275,32 @@ TrialOutcome run_grammar_trial(const TrialSpec& spec, const FuzzConfig& cfg,
   // diagnostic here is a front-end or generator bug, not a bad input.
   const lang::CompileResult comp = lang::compile_source(draw.gen.source);
   if (!comp.ok()) {
-    out.failed = true;
-    out.oracle = "grammar_compile";
-    out.message = lang::render_diagnostics(draw.gen.source, comp.diagnostics);
+    TrialOutcome out;
+    fail(out, "grammar_compile",
+         lang::render_diagnostics(draw.gen.source, comp.diagnostics));
     return out;
   }
   const pram::Program& prog = *comp.program;
-
-  FuzzedSchedule* fz = nullptr;
-  RecordingSchedule* rec = nullptr;
-  exec::ExecConfig ec;
-  ec.seed = spec.seed;
-  ec.engine = draw.engine;
-  ec.schedule_factory = [&](std::size_t nprocs, apex::Rng rng) {
-    auto inner = build_adversary(spec, nprocs, rng);
-    if (spec.script == nullptr && spec.fuzzed)
-      fz = static_cast<FuzzedSchedule*>(inner.get());
-    if (!record) return inner;
-    auto wrapped = std::make_unique<RecordingSchedule>(std::move(inner));
-    rec = wrapped.get();
-    return std::unique_ptr<sim::Schedule>(std::move(wrapped));
-  };
-  exec::Executor ex(prog, exec::Scheme::kNondeterministic, ec);
-
-  WorkAccountingOracle work;
-  ClockOracle clock(ex.clock(), prog.nthreads(), cfg.skew_ticks);
-  BinArrayOracle bins(*ex.bins(), [](std::size_t, sim::Word) { return true; });
-  // Same doubled cap as the workload trials: multi-phase runs have a wider
-  // legitimate clobber tail than the single-phase agreement calibration.
-  ClobberOracle clobbers(*ex.bins(), ex.clock(),
-                         cfg.clobber_bound != 0
-                             ? cfg.clobber_bound
-                             : 2 * ClobberOracle::default_bound(
-                                       prog.nthreads()));
-  OracleSet set;
-  set.add(&work);
-  set.add(&clock);
-  set.add(&bins);
-  set.add(&clobbers);
-  ex.simulator().add_observer(&set);
-  ex.set_agreement_observer(&set);
-
-  try {
-    const std::uint64_t budget =
-        spec.budget != 0 ? spec.budget : exec::Executor::default_budget(prog);
-    const auto res = ex.run(budget);
-    set.finish(ex.simulator());
-    if (const Oracle* o = set.first_failing()) {
-      out.failed = true;
-      out.oracle = o->name();
-      out.message = o->failures().front();
-    } else if (res.completed && res.incomplete_tasks == 0) {
-      // Differential oracles (same contract as the workload trials): a run
-      // the scheme considers clean must be consistent with some valid
-      // synchronous execution, and a deterministic program's final memory
-      // must match the reference interpreter bit-for-bit.
-      const std::vector<pram::Word> zeros(prog.nvars(), 0);
-      const std::string cons = pram::check_execution_consistency(
-          prog, zeros, res.produced, res.memory);
-      if (!cons.empty()) {
-        out.failed = true;
-        out.oracle = "grammar_consistency";
-        out.message = cons;
-      } else if (!prog.is_nondeterministic()) {
-        const auto ref = pram::Interpreter(prog).run_deterministic(zeros);
-        if (ref.memory != res.memory) {
-          out.failed = true;
-          out.oracle = "grammar_determinism";
-          out.message =
-              "deterministic generated program diverged from the reference "
-              "interpreter (seed " +
-              std::to_string(spec.seed) + ")";
+  // Differential oracles: a clean run must be consistent with some valid
+  // synchronous execution, and a deterministic program's final memory must
+  // match the reference interpreter bit-for-bit.
+  return run_exec_trial(
+      spec, cfg, record, prog, draw.engine,
+      [&](const exec::ExecResult& res, TrialOutcome& out) {
+        const std::vector<pram::Word> zeros(prog.nvars(), 0);
+        const std::string cons = pram::check_execution_consistency(
+            prog, zeros, res.produced, res.memory);
+        if (!cons.empty()) {
+          fail(out, "grammar_consistency", cons);
+        } else if (!prog.is_nondeterministic()) {
+          const auto ref = pram::Interpreter(prog).run_deterministic(zeros);
+          if (ref.memory != res.memory)
+            fail(out, "grammar_determinism",
+                 "deterministic generated program diverged from the "
+                 "reference interpreter (seed " +
+                     std::to_string(spec.seed) + ")");
         }
-      }
-    }
-  } catch (const std::exception& e) {
-    out.failed = true;
-    out.oracle = "exception";
-    out.message = e.what();
-  }
-  if (fz != nullptr) out.schedule_desc = fz->describe();
-  if (rec != nullptr) {
-    out.trace = rec->trace();
-    trim_to_executed(out.trace, ex.simulator());
-  }
-  return out;
+      });
 }
 
 /// Shrink: find the shortest grant-trace prefix that still trips the same
@@ -443,9 +377,7 @@ TrialOutcome run_trial(const TrialSpec& spec, const FuzzConfig& cfg,
   } catch (const std::exception& e) {
     // Construction-time failures (bad config) — still a finding.
     TrialOutcome out;
-    out.failed = true;
-    out.oracle = "exception";
-    out.message = e.what();
+    fail(out, "exception", e.what());
     return out;
   }
 }

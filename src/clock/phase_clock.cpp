@@ -25,7 +25,16 @@ sim::SubTask<void> PhaseClock::update(sim::Ctx& ctx) {
   sim::Word inc = 1;
   if (check::mutation_enabled(check::Mutation::kClockDoubleIncrement))
     inc = 2;
+  if (listener_ != nullptr) note_write(base_ + r, c.value + inc);
   co_await ctx.write(base_ + r, c.value + inc, 0);
+}
+
+void PhaseClock::note_write(std::size_t addr, sim::Word value) {
+  const sim::Word cur = mem_->at(addr).value;
+  if (value <= cur) return;
+  true_total_ += value - cur;
+  const std::uint64_t now = true_total_ / tau_;
+  while (true_tick_ < now) listener_->on_tick(++true_tick_);
 }
 
 sim::SubTask<std::uint64_t> PhaseClock::read(sim::Ctx& ctx) {

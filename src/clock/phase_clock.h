@@ -36,6 +36,16 @@
 
 namespace apex::clockx {
 
+/// Out-of-band listener for the clock's TRUE tick ⌊U / τ⌋, where U sums the
+/// positive deltas of the clock's slot writes (see PhaseClock::set_listener).
+class TickListener {
+ public:
+  virtual ~TickListener() = default;
+  /// The true tick advanced to `tick`; called once per advance, in order
+  /// (tick 1, 2, ...).
+  virtual void on_tick(std::uint64_t tick) = 0;
+};
+
 struct ClockConfig {
   std::size_t nprocs = 0;      ///< n.
   std::size_t slots = 0;       ///< m; 0 means use n.
@@ -76,6 +86,19 @@ class PhaseClock {
     return addr >= base_ && addr < base_ + m_;
   }
 
+  /// Attach (nullptr: detach) the out-of-band tick listener; the caller
+  /// keeps ownership.  Unset, update() pays one null check.  Set, update()
+  /// runs a hook in the SAME grant as its slot write, just before the write
+  /// lands: it adds the write's positive delta (new value minus the slot's
+  /// current value; a lost update that lowers a slot adds nothing) to a
+  /// running true total U and calls on_tick for each advance of ⌊U / τ⌋.
+  /// That is the sum an observer of clock-slot write events takes over
+  /// positive ev.after - ev.before, at the same step: no other processor's
+  /// step runs between hook and write, total_work() inside on_tick equals
+  /// the write's StepEvent::time, and memory differs from the after-the-step
+  /// state only in that clock slot.  The listener must not mutate memory.
+  void set_listener(TickListener* listener) noexcept { listener_ = listener; }
+
   /// Atomic steps one update() costs (for work-budget arithmetic).
   static constexpr std::uint64_t kUpdateCost = 2;
   /// Atomic steps one read() costs.
@@ -88,6 +111,14 @@ class PhaseClock {
   std::size_t s_;
   std::uint64_t tau_;
   std::vector<std::uint64_t> reader_clamp_;  ///< Per-processor monotone clamp.
+
+  /// The listener hook (see set_listener): account a write of `value` to
+  /// slot address `addr` that is about to land.
+  void note_write(std::size_t addr, sim::Word value);
+
+  TickListener* listener_ = nullptr;
+  std::uint64_t true_total_ = 0;  ///< U: positive write deltas so far.
+  std::uint64_t true_tick_ = 0;   ///< Last tick reported to the listener.
 };
 
 }  // namespace apex::clockx

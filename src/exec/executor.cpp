@@ -1,11 +1,19 @@
 #include "exec/executor.h"
 
-#include <algorithm>
-#include <stdexcept>
-
 #include "util/math.h"
 
 namespace apex::exec {
+
+namespace {
+
+/// G generation slots per program variable (the >= 3 bound is argued at the
+/// commit audit below).
+constexpr std::size_t kGenerations = 4;
+
+/// Bin sizing (nondeterministic scheme): cells per bin = max(4, kBeta·lg n).
+constexpr std::size_t kBeta = 8;
+
+}  // namespace
 
 const char* scheme_name(Scheme s) noexcept {
   return s == Scheme::kNondeterministic ? "nondet" : "det";
@@ -18,7 +26,6 @@ const char* scheme_name(Scheme s) noexcept {
 struct Executor::Impl {
   const pram::Program* prog;
   Scheme scheme;
-  ExecConfig cfg;
   sim::Simulator* sim;
 
   std::unique_ptr<clockx::PhaseClock> clock;
@@ -35,8 +42,8 @@ struct Executor::Impl {
 
   /// Address of generation slot for (variable, writer-stamp).
   std::size_t var_addr(std::uint32_t var, sim::Word stamp) const {
-    return var_base + static_cast<std::size_t>(var) * cfg.generations +
-           static_cast<std::size_t>(stamp % cfg.generations);
+    return var_base + static_cast<std::size_t>(var) * kGenerations +
+           static_cast<std::size_t>(stamp % kGenerations);
   }
 
   std::size_t newval_addr(std::size_t i) const { return newval_base + i; }
@@ -135,13 +142,19 @@ struct Executor::Impl {
 
   /// Deterministic-scheme Compute: pick a random task, evaluate it, write
   /// NewVal[i] directly (no agreement — the baseline's fatal flaw for
-  /// nondeterministic f).
+  /// nondeterministic f).  The first write of each (step, task) is recorded
+  /// as its `produced` value in the same grant as the write (see Monitor).
   sim::SubTask<void> det_compute_once(sim::Ctx& ctx, std::size_t s,
                                       sim::Word stamp) {
     const std::size_t i = static_cast<std::size_t>(ctx.rng().below(n()));
     co_await ctx.local();
     const auto v = co_await eval_task(ctx, s, i);
-    if (v) co_await ctx.write(newval_addr(i), *v, stamp);
+    if (!v) co_return;
+    if (stamp > monitor.newval_stamp_seen[i]) {
+      monitor.newval_stamp_seen[i] = stamp;
+      monitor.produced[s][i] = *v;
+    }
+    co_await ctx.write(newval_addr(i), *v, stamp);
   }
 
   /// Copy subphase task: pick a random thread, fetch its NewVal (from the
@@ -196,8 +209,10 @@ struct Executor::Impl {
 
   // --- Out-of-band subphase monitor ----------------------------------------
 
-  /// Watches clock writes to detect true tick transitions and audits each
-  /// step's COMMITTED values one full phase after its Copy subphase ended.
+  /// Listens to the phase clock's TRUE tick (PhaseClock::set_listener, run
+  /// from inside update() in the grant of the crossing write) and audits
+  /// each step's COMMITTED values one full phase after its Copy subphase
+  /// ended.
   ///
   /// Why the delay: processors act on *estimated* ticks that lag/lead the
   /// true tick by a bounded amount, so copies for step s legitimately
@@ -210,7 +225,7 @@ struct Executor::Impl {
   /// 2s+3 is race-free on both sides: estimate skew is well under a full
   /// phase, so every straggling copy of step s has landed, and the
   /// earliest possible overwrite of the slot (the Copy subphase of step
-  /// s+G, G >= 3 enforced at construction, at estimated tick 2s+2G+1)
+  /// s+G, G >= 3 asserted below, at estimated tick 2s+2G+1)
   /// cannot have started even from a ~2-tick estimate leader.  The
   /// committed slot is also the authoritative agreed value — copies only
   /// ever commit values read from completed agreements — so `produced` is
@@ -220,18 +235,19 @@ struct Executor::Impl {
   /// re-executions of a randomized task overwrite NewVal[i] with fresh
   /// draws, and which one a copy commits is a race (the paper's motivating
   /// flaw).  For that scheme `produced` records the FIRST NewVal write of
-  /// each (step, task) — an event-driven, race-free capture — so a later
-  /// redraw that gets committed shows up as a genuine consistency
-  /// violation instead of being laundered by reading the final slot back.
-  struct Monitor final : public sim::StepObserver {
-    Impl* im = nullptr;
+  /// each (step, task) — captured by det_compute_once in the grant of the
+  /// write, race-free — so a later redraw that gets committed shows up as
+  /// a genuine consistency violation instead of being laundered by reading
+  /// the final slot back.
+  struct Monitor final : public clockx::TickListener {
+    // A processor whose estimate leads true time by the tolerated ~2 ticks
+    // may start the Copy subphase of step s+G (reusing the slot) at true
+    // tick 2(s+G)-1.  G=2 would put that reuse at 2s+3 — racing the audit
+    // of step s at the close of tick 2s+3.
+    static_assert(kGenerations >= 3,
+                  "the delayed commit audit races slot reuse below G = 3");
 
-    /// The subphase audits re-read LIVE memory cells (audit_commits) at
-    /// exact step positions, so deferred span delivery would audit a
-    /// different memory state: demand per-step delivery from the batched
-    /// engine.
-    bool step_synchronous() const noexcept override { return true; }
-    std::uint64_t clock_total = 0;
+    Impl* im = nullptr;
     std::uint64_t tick = 0;
     std::vector<std::vector<pram::Word>> produced;
     std::uint64_t incomplete = 0;
@@ -250,24 +266,7 @@ struct Executor::Impl {
     /// of step T-1 happens when tick 2(T-1)+3 = 2T+1 closes.
     std::uint64_t end_tick() const { return 2 * im->T() + 2; }
 
-    void on_step(const sim::StepEvent& ev) override {
-      if (ev.op.kind != sim::Op::Kind::Write) return;
-      if (im->scheme == Scheme::kDeterministic &&
-          ev.op.addr >= im->newval_base &&
-          ev.op.addr < im->newval_base + im->n()) {
-        const std::size_t i = ev.op.addr - im->newval_base;
-        const sim::Word st = ev.after.stamp;
-        if (st > newval_stamp_seen[i] && st >= 1 &&
-            st <= static_cast<sim::Word>(im->T())) {
-          newval_stamp_seen[i] = st;
-          produced[static_cast<std::size_t>(st - 1)][i] = ev.after.value;
-        }
-        return;
-      }
-      if (!im->clock->owns(ev.op.addr)) return;
-      if (ev.after.value > ev.before.value)
-        clock_total += ev.after.value - ev.before.value;
-      const std::uint64_t now = clock_total / im->clock->threshold();
+    void on_tick(std::uint64_t now) override {
       while (tick < now && tick < end_tick()) finalize_subphase();
     }
 
@@ -310,14 +309,7 @@ struct Executor::Impl {
 // ---------------------------------------------------------------------------
 
 Executor::Executor(const pram::Program& program, Scheme scheme, ExecConfig cfg)
-    : prog_(&program), scheme_(scheme), cfg_(cfg) {
-  // G >= 3: the monitor audits step s's commits at the close of tick 2s+3,
-  // and a processor whose estimate leads true time by the tolerated ~2
-  // ticks may start the Copy subphase of step s+G (reusing the slot) at
-  // true tick 2(s+G)-1.  G=2 would put that reuse at 2s+3 — racing the
-  // audit — so the unsafe configuration is rejected outright.
-  if (cfg.generations < 3)
-    throw std::invalid_argument("Executor: generations must be >= 3");
+    : prog_(&program), scheme_(scheme) {
   const std::size_t n = program.nthreads();
 
   apex::SeedTree seeds{cfg.seed};
@@ -335,7 +327,6 @@ Executor::Executor(const pram::Program& program, Scheme scheme, ExecConfig cfg)
   impl_ = std::make_unique<Impl>();
   impl_->prog = prog_;
   impl_->scheme = scheme_;
-  impl_->cfg = cfg_;
   impl_->sim = sim_.get();
 
   clockx::ClockConfig cc;
@@ -344,13 +335,13 @@ Executor::Executor(const pram::Program& program, Scheme scheme, ExecConfig cfg)
   impl_->clock = std::make_unique<clockx::PhaseClock>(sim_->memory(), cc);
 
   impl_->var_base =
-      sim_->memory().extend(program.nvars() * cfg.generations);
+      sim_->memory().extend(program.nvars() * kGenerations);
 
   if (scheme_ == Scheme::kNondeterministic) {
     impl_->bins = std::make_unique<agreement::BinArray>(
-        sim_->memory(), n, agreement::BinArray::cells_for(n, cfg.beta));
+        sim_->memory(), n, agreement::BinArray::cells_for(n, kBeta));
     impl_->rt.cfg.n = n;
-    impl_->rt.cfg.beta = cfg.beta;
+    impl_->rt.cfg.beta = kBeta;
     // <= 3 operand reads + 1 local; a kGatherDyn adds one segment read.
     impl_->rt.cfg.compute_steps = program.has_dyn_gather() ? 5 : 4;
     impl_->rt.bins = impl_->bins.get();
@@ -364,7 +355,7 @@ Executor::Executor(const pram::Program& program, Scheme scheme, ExecConfig cfg)
   }
 
   impl_->monitor.init(impl_.get());
-  sim_->add_observer(&impl_->monitor);
+  impl_->clock->set_listener(&impl_->monitor);
 
   Impl* im = impl_.get();
   for (std::size_t p = 0; p < n; ++p)
@@ -419,9 +410,9 @@ ExecResult Executor::run(std::uint64_t max_work) {
   for (std::size_t v = 0; v < prog_->nvars(); ++v) {
     sim::Word best_stamp = 0;
     sim::Word best_value = 0;
-    for (std::size_t g = 0; g < cfg_.generations; ++g) {
+    for (std::size_t g = 0; g < kGenerations; ++g) {
       const sim::Cell c =
-          sim_->memory().at(impl_->var_base + v * cfg_.generations + g);
+          sim_->memory().at(impl_->var_base + v * kGenerations + g);
       if (c.stamp >= best_stamp) {
         best_stamp = c.stamp;
         best_value = c.value;

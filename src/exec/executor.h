@@ -54,12 +54,9 @@ enum class Scheme {
 
 const char* scheme_name(Scheme s) noexcept;
 
+/// The scheme's generation count G = 4 and bin sizing β = 8 are constants
+/// in executor.cpp.
 struct ExecConfig {
-  /// G generation slots per program variable.  Must be >= 3: the commit
-  /// audit runs one phase after each Copy subphase and is race-free only
-  /// while the slot cannot yet be reused (see Monitor in executor.cpp).
-  std::size_t generations = 4;
-  std::size_t beta = 8;         ///< Bin sizing (nondeterministic scheme).
   // Updates per tick = α·n.  Must comfortably exceed β so each Compute
   // subphase (~α·n·lg n agreement cycles) fills every β·lg n-cell bin with
   // margin; see TestbedConfig::clock_alpha.
@@ -111,6 +108,9 @@ class Executor {
   static std::uint64_t default_budget(const pram::Program& p);
 
   const pram::Program& program() const noexcept { return *prog_; }
+  /// The underlying simulator.  The executor attaches no step observer of
+  /// its own (its commit audit is the clock's tick listener), so a run whose
+  /// chain is empty takes the batched engine's no-observer fast path.
   sim::Simulator& simulator() noexcept { return *sim_; }
 
   /// The scheme's phase clock (for out-of-band oracles / inspectors).
@@ -126,7 +126,6 @@ class Executor {
   struct Impl;
   const pram::Program* prog_;
   Scheme scheme_;
-  ExecConfig cfg_;
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<Impl> impl_;
 };

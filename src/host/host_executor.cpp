@@ -18,8 +18,8 @@ namespace {
 /// protocol state, so it stays an oblivious adversary by construction.
 constexpr std::uint64_t kInterleaveTag = 0x17E21EAFULL;
 
-/// Bin sizing: cells per bin = max(4, kBeta * lg P), the same beta as
-/// exec::ExecConfig's default.
+/// Bin sizing: cells per bin = max(4, kBeta * lg P), the same beta as the
+/// simulated executor's kBeta (exec/executor.cpp).
 constexpr std::size_t kBeta = 8;
 
 /// Steps per visit under Interleave::kBlock.  64 keeps a processor's RNG

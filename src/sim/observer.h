@@ -23,11 +23,9 @@
 //     predicates that read observer state see every event up to the poll;
 //   * events are delivered AFTER the fact: simulator/memory state at
 //     on_steps time is the state at the END of the span, not at each step.
-// An observer that must see live state at the exact step (e.g. an auditor
-// that re-reads memory cells per event) overrides step_synchronous() to
-// return true: the engine then calls its on_step at every step, at the same
-// point the pre-batching engine did, while the rest of the chain still gets
-// batched spans.
+//     Protocol state that must be read at an exact step belongs to the
+//     protocol itself (e.g. the phase clock's tick listener), not to an
+//     observer.
 //
 // The single-step reference engine always delivers per-step on_step calls
 // down the whole chain (the genuine pre-batching behavior).
@@ -62,8 +60,8 @@ class StepObserver {
  public:
   virtual ~StepObserver() = default;
 
-  /// One step.  The single-step engine and synchronous delivery call this
-  /// per step; the default on_steps below also lands here.
+  /// One step.  The single-step engine calls this per step; the default
+  /// on_steps below also lands here.
   virtual void on_step(const StepEvent& ev) = 0;
 
   /// A batch of consecutive steps in execution order (see the delivery
@@ -72,11 +70,6 @@ class StepObserver {
   virtual void on_steps(std::span<const StepEvent> evs) {
     for (const StepEvent& ev : evs) on_step(ev);
   }
-
-  /// Return true to demand per-step delivery at the exact step time even
-  /// under the batched engine (for observers that read live simulator or
-  /// memory state from on_step).  Checked once per run().
-  virtual bool step_synchronous() const noexcept { return false; }
 };
 
 /// Ordered fan-out chain.  Delivery order is registration order, and the
@@ -96,24 +89,12 @@ class CompositeObserver final : public StepObserver {
   bool empty() const noexcept { return list_.empty(); }
   std::size_t size() const noexcept { return list_.size(); }
 
-  /// The attached observers, in registration (= delivery) order.  The
-  /// batched engine partitions them per run() by step_synchronous().
-  const std::vector<StepObserver*>& members() const noexcept { return list_; }
-
   void on_step(const StepEvent& ev) override {
     for (auto* o : list_) o->on_step(ev);
   }
 
   void on_steps(std::span<const StepEvent> evs) override {
     for (auto* o : list_) o->on_steps(evs);
-  }
-
-  /// A chain is synchronous if any member is: a nested composite with one
-  /// synchronous member keeps exact-step delivery for the whole sub-chain.
-  bool step_synchronous() const noexcept override {
-    for (auto* o : list_)
-      if (o->step_synchronous()) return true;
-    return false;
   }
 
  private:

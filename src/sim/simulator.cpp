@@ -177,17 +177,13 @@ void Simulator::consume_batch_instr(std::size_t end, bool double_charge,
   // fills the current slot of the batch event buffer (through ev_cur_; the
   // loop pre-fills time/proc and advances the slot).  Delivery is deferred:
   // one on_steps(span) per kEventBatch events (and one for the remainder at
-  // every exit of this function) down the deferred part of the chain — so
-  // every executed step is delivered exactly once, in order, before any
-  // stop-predicate poll and before any exception escapes.  Observers that demanded exact-step delivery
-  // (step_synchronous) get per-step on_step calls at the same point the
-  // single-step engine makes them.
+  // every exit of this function) down the chain — so every executed step is
+  // delivered exactly once, in order, before any stop-predicate poll and
+  // before any exception escapes.
   const std::uint32_t* const buf = grant_buf_.data();
   std::coroutine_handle<>* const slots = resume_slots_.data();
   StepEvent* const evs = event_buf_.data();
   StepEvent* const evs_cap = evs + event_buf_.size();
-  StepObserver* const* const sync = sync_obs_.data();
-  const std::size_t nsync = sync_obs_.size();
   if (bad_grant_at_ < buf_pos_) [[unlikely]] validate_grants(buf_pos_);
   const std::size_t safe_end = std::min(end, bad_grant_at_);
   const std::size_t pos0 = buf_pos_;
@@ -251,7 +247,6 @@ void Simulator::consume_batch_instr(std::size_t end, bool double_charge,
         ev_next_ = e + 1;
         work_ += 1;
         if (double_charge) [[unlikely]] work_ += 1;  // final resume is Local
-        for (std::size_t i = 0; i < nsync; ++i) sync[i]->on_step(*e);
         if (ev_next_ == evs_cap) [[unlikely]] {
           flush_observers();
           ev_next_ = evs;
@@ -279,7 +274,6 @@ void Simulator::consume_batch_instr(std::size_t end, bool double_charge,
 
       ev_next_ = e + 1;
       work_ += 1;
-      for (std::size_t i = 0; i < nsync; ++i) sync[i]->on_step(*e);
       if (ev_next_ == evs_cap) [[unlikely]] {
         // Sub-batch full: deliver and recycle so the buffer stays
         // L1-resident (see kEventBatch).
@@ -310,7 +304,7 @@ void Simulator::flush_observers_slow() {
   // Mark delivered BEFORE fanning out: a re-entrant flush from inside an
   // observer then no-ops instead of double-delivering.
   ev_flushed_ = ev_next_;
-  for (StepObserver* o : batch_obs_) o->on_steps(batch);
+  observers_.on_steps(batch);
 }
 
 void Simulator::consume_batch_fast(std::size_t end, bool double_charge,
@@ -422,14 +416,6 @@ Simulator::RunResult Simulator::run_batched(
   // stable until the next out-of-band extend(); instrumented runs
   // additionally route each step into the batch event buffer via ev_next_.
   if (instrumented) {
-    // Partition the chain once per run: synchronous observers keep exact
-    // per-step delivery (they read live simulator/memory state); the rest
-    // get batched spans at flush points.  Registration order is preserved
-    // within each class.
-    sync_obs_.clear();
-    batch_obs_.clear();
-    for (StepObserver* o : observers_.members())
-      (o->step_synchronous() ? sync_obs_ : batch_obs_).push_back(o);
     if (event_buf_.size() < kEventBatch) event_buf_.resize(kEventBatch);
     ev_next_ = event_buf_.data();
     ev_flushed_ = event_buf_.data();

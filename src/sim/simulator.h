@@ -120,9 +120,9 @@ class Simulator {
   void remove_observer(StepObserver* obs) { observers_.remove(obs); }
   void clear_observers() noexcept { observers_.clear(); }
 
-  /// Deliver any buffered-but-undelivered step events down the deferred
-  /// part of the observer chain NOW (exactly once, in order).  The batched
-  /// engine flushes automatically at batch boundaries, stop-predicate
+  /// Deliver any buffered-but-undelivered step events down the observer
+  /// chain NOW (exactly once, in order).  The batched engine flushes
+  /// automatically at batch boundaries, stop-predicate
   /// checks and run() exits; protocol runtimes that emit out-of-band events
   /// of their own (agreement cycle/phase hooks) call this first, so an
   /// observer consuming both streams sees them interleaved exactly as the
@@ -158,9 +158,8 @@ class Simulator {
   /// Consume buffered grants [buf_pos_, end) through the batched
   /// instrumented path: ops executed inline by the awaiters (which also
   /// fill the batch event buffer through cur_ev_), events flushed as one
-  /// on_steps(span) at every exit — synchronous observers still get
-  /// per-step on_step at the exact step time.  Returns on exhaustion, stop
-  /// request, or last processor finish.
+  /// on_steps(span) at every exit.  Returns on exhaustion, stop request, or
+  /// last processor finish.
   /// `poll_on_dead`: the batch began exactly on a stop-predicate boundary,
   /// so a grant to a finished processor before any live grant must return
   /// to the caller for a re-poll — the single-step engine re-evaluates the
@@ -244,10 +243,6 @@ class Simulator {
   /// was refused before executing; the scheduler throws for that grant.
   bool oob_fault_ = false;
   std::size_t oob_addr_ = 0;
-  /// Per-run partition of observers_ (rebuilt by run_batched): synchronous
-  /// members get per-step on_step, the rest get batched on_steps spans.
-  std::vector<StepObserver*> sync_obs_;
-  std::vector<StepObserver*> batch_obs_;
 };
 
 }  // namespace apex::sim

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "sim/simulator.h"
 
@@ -178,6 +179,82 @@ TEST(PhaseClock, ValidatesConfig) {
   bad2.nprocs = 4;
   bad2.alpha = -1.0;
   EXPECT_THROW(PhaseClock(mem, bad2), std::invalid_argument);
+}
+
+// --- The tick listener --------------------------------------------------------
+
+/// Records each tick report with the simulator's total_work() at the call.
+struct FireLog final : TickListener {
+  const Simulator* sim = nullptr;
+  std::vector<std::uint64_t> ticks;
+  std::vector<std::uint64_t> times;
+  void on_tick(std::uint64_t tick) override {
+    ticks.push_back(tick);
+    times.push_back(sim->total_work());
+  }
+};
+
+/// Event-side recount of the true total: sums the positive deltas of clock
+/// writes and records the StepEvent::time at which the sum crosses each k·τ.
+struct Recount final : sim::StepObserver {
+  const PhaseClock* clk = nullptr;
+  std::uint64_t total = 0;
+  std::uint64_t lowered = 0;  ///< Lost updates that lowered their slot.
+  std::vector<std::uint64_t> crossings;
+  void on_step(const sim::StepEvent& ev) override {
+    if (ev.op.kind != sim::Op::Kind::Write || !clk->owns(ev.op.addr)) return;
+    if (ev.after.value < ev.before.value) ++lowered;
+    if (ev.after.value <= ev.before.value) return;
+    total += ev.after.value - ev.before.value;
+    while (crossings.size() < total / clk->threshold())
+      crossings.push_back(ev.time);
+  }
+};
+
+/// 16 processors make 100 clock updates each under a uniformly random
+/// (racing) schedule, τ = 16; `recount`, when given, rides the observer
+/// chain.
+FireLog run_listened(sim::GrantEngine engine, Recount* recount) {
+  const std::size_t n = 16;
+  SimConfig sc{n, 0, 5};
+  sc.engine = engine;
+  Simulator sim(sc, sim::make_schedule(sim::ScheduleKind::kUniformRandom, n,
+                                       apex::Rng(9)));
+  ClockConfig cc;
+  cc.nprocs = n;
+  cc.alpha = 1.0;
+  PhaseClock clk(sim.memory(), cc);
+  FireLog log;
+  log.sim = &sim;
+  clk.set_listener(&log);
+  if (recount != nullptr) {
+    recount->clk = &clk;
+    sim.add_observer(recount);
+  }
+  for (std::size_t p = 0; p < n; ++p)
+    sim.spawn([&](Ctx& c) { return updater(c, clk, 100); });
+  sim.run(1'000'000);
+  return log;
+}
+
+TEST(PhaseClock, ListenerFiresAtTheTrueTickCrossings) {
+  for (auto engine : {sim::GrantEngine::kBatched, sim::GrantEngine::kSingleStep}) {
+    SCOPED_TRACE(engine == sim::GrantEngine::kBatched ? "batched"
+                                                      : "single_step");
+    Recount rc;
+    const FireLog watched = run_listened(engine, &rc);
+    EXPECT_LT(rc.total, 16u * 100u) << "the schedule must lose updates";
+    EXPECT_GT(rc.lowered, 0u) << "some lost update must lower a slot";
+    // Once per true-tick advance, in order, at the exact crossing step.
+    ASSERT_EQ(watched.ticks.size(), rc.total / 16);
+    ASSERT_GE(watched.ticks.size(), 20u);
+    for (std::size_t k = 0; k < watched.ticks.size(); ++k)
+      EXPECT_EQ(watched.ticks[k], k + 1);
+    EXPECT_EQ(watched.times, rc.crossings);
+    // Without the recount on the chain (the batched engine then takes its
+    // no-observer fast path) the listener fires at the identical steps.
+    EXPECT_EQ(run_listened(engine, nullptr).times, watched.times);
+  }
 }
 
 TEST(PhaseClock, NecessityLowerBound) {

@@ -178,21 +178,6 @@ TEST(Executor, ProducedTraceMatchesMemoryReplay) {
     }
 }
 
-TEST(Executor, GenerationsValidated) {
-  pram::Program p = pram::make_coin_matrix(2, 1, 0.5);
-  ExecConfig cfg;
-  cfg.generations = 1;
-  EXPECT_THROW(Executor(p, Scheme::kNondeterministic, cfg),
-               std::invalid_argument);
-  // G=2 would let an estimate-leading processor reuse a generation slot
-  // while the monitor's delayed commit audit still expects the old stamp.
-  cfg.generations = 2;
-  EXPECT_THROW(Executor(p, Scheme::kNondeterministic, cfg),
-               std::invalid_argument);
-  cfg.generations = 3;
-  EXPECT_NO_THROW(Executor(p, Scheme::kNondeterministic, cfg));
-}
-
 TEST(Executor, BudgetExhaustionReportsIncomplete) {
   pram::Program p = pram::make_coin_matrix(8, 4, 0.5);
   Executor ex(p, Scheme::kNondeterministic, make_cfg(71));

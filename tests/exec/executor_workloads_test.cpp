@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "exec/executor.h"
@@ -15,6 +16,12 @@ namespace apex::exec {
 namespace {
 
 using pram::Word;
+
+// Every ExecResult field, for whole-result comparisons.
+auto fields(const ExecResult& r) {
+  return std::tie(r.completed, r.total_work, r.memory, r.produced,
+                  r.incomplete_tasks, r.stamp_misses);
+}
 
 // Seed the inputs of a kernel via an extra constants step, since executor
 // memory starts all-zero.
@@ -161,6 +168,27 @@ TEST(ExecutorWorkloads, LargeRegistryInstanceRunsThroughTheSimulatedScheme) {
   ASSERT_EQ(res.incomplete_tasks, 0u);
   for (std::size_t v = 0; v < ref.memory.size(); ++v)
     ASSERT_EQ(res.memory[v], ref.memory[v]) << "v" << v;
+}
+
+TEST(ExecutorWorkloads, CommitAuditNeedsNoStepObserver) {
+  // The subphase audit and the det scheme's first-write capture run inside
+  // the protocol (the clock's tick listener, det_compute_once), not on the
+  // simulator's observer chain: an executor whose chain is emptied before
+  // run() takes the no-observer fast path and must return exactly what an
+  // untouched one does.
+  for (const auto& wl : pram::workload_registry()) {
+    const pram::Program p = wl.make(8);
+    for (Scheme scheme : {Scheme::kNondeterministic, Scheme::kDeterministic}) {
+      ExecConfig cfg;
+      cfg.seed = 5;
+      Executor untouched(p, scheme, cfg);
+      Executor cleared(p, scheme, cfg);
+      cleared.simulator().clear_observers();
+      const auto a = untouched.run(Executor::default_budget(p));
+      const auto b = cleared.run(Executor::default_budget(p));
+      EXPECT_EQ(fields(a), fields(b)) << wl.name << " " << scheme_name(scheme);
+    }
+  }
 }
 
 TEST(ExecutorWorkloads, PrefixSumSelfUpdateStepsSurviveHostileSchedule) {

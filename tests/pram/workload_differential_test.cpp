@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "exec/executor.h"
@@ -39,6 +40,28 @@ constexpr std::size_t kN = 8;  // satisfies every registered constraint
 // regression here fails loudly instead of corrupting the comparison.
 constexpr double kClockAlpha = 48.0;
 
+// Every ExecResult field, for whole-result comparisons.
+auto fields(const exec::ExecResult& r) {
+  return std::tie(r.completed, r.total_work, r.memory, r.produced,
+                  r.incomplete_tasks, r.stamp_misses);
+}
+
+struct NoOpObserver final : sim::StepObserver {
+  void on_step(const sim::StepEvent&) override {}
+};
+
+// One exec run, nondeterministic scheme; `obs`, when given, is attached.
+exec::ExecResult run_exec(const pram::Program& p, double clock_alpha,
+                          sim::GrantEngine engine, sim::StepObserver* obs) {
+  exec::ExecConfig cfg;
+  cfg.seed = 42;
+  cfg.engine = engine;
+  cfg.clock_alpha = clock_alpha;
+  exec::Executor ex(p, exec::Scheme::kNondeterministic, cfg);
+  if (obs != nullptr) ex.simulator().add_observer(obs);
+  return ex.run(exec::Executor::default_budget(p));
+}
+
 class Differential : public ::testing::TestWithParam<const char*> {
  protected:
   const pram::WorkloadSpec& spec() const {
@@ -53,33 +76,39 @@ TEST_P(Differential, SimulatorExecutorBothEnginesAgreeWithReference) {
   const pram::Program p = wl.make(kN);
   const auto ref = pram::Interpreter(p).run({}, apex::Rng(7));
 
-  std::vector<Word> batched_memory;
-  for (auto engine : {sim::GrantEngine::kBatched, sim::GrantEngine::kSingleStep}) {
-    exec::ExecConfig cfg;
-    cfg.seed = 42;
-    cfg.engine = engine;
-    cfg.clock_alpha = kClockAlpha;
-    const auto chk = exec::run_checked(p, exec::Scheme::kNondeterministic, cfg);
-    const char* ename =
-        engine == sim::GrantEngine::kBatched ? "batched" : "single_step";
-    ASSERT_TRUE(chk.result.completed) << wl.name << " " << ename;
-    ASSERT_EQ(chk.result.incomplete_tasks, 0u) << wl.name << " " << ename;
-    EXPECT_EQ(chk.consistency_error, "") << wl.name << " " << ename;
-    EXPECT_EQ(wl.check(kN, chk.result.memory), "") << wl.name << " " << ename;
-    if (wl.deterministic) {
-      // Bit-for-bit against the synchronous reference, full memory image.
-      ASSERT_EQ(chk.result.memory.size(), ref.memory.size()) << wl.name;
-      for (std::size_t v = 0; v < ref.memory.size(); ++v)
-        ASSERT_EQ(chk.result.memory[v], ref.memory[v])
-            << wl.name << " " << ename << " v" << v;
-    }
-    // The two engines must produce the identical execution (same seed, same
-    // schedule): equal memories even for nondeterministic kernels.
-    if (engine == sim::GrantEngine::kBatched)
-      batched_memory = chk.result.memory;
-    else
-      EXPECT_EQ(chk.result.memory, batched_memory)
-          << wl.name << ": engines diverged";
+  const exec::ExecResult res =
+      run_exec(p, kClockAlpha, sim::GrantEngine::kBatched, nullptr);
+  ASSERT_TRUE(res.completed) << wl.name;
+  ASSERT_EQ(res.incomplete_tasks, 0u) << wl.name;
+  EXPECT_EQ(pram::check_execution_consistency(
+                p, std::vector<Word>(p.nvars(), 0), res.produced, res.memory),
+            "")
+      << wl.name;
+  EXPECT_EQ(wl.check(kN, res.memory), "") << wl.name;
+  if (wl.deterministic) {
+    // Bit-for-bit against the synchronous reference, full memory image.
+    ASSERT_EQ(res.memory.size(), ref.memory.size()) << wl.name;
+    for (std::size_t v = 0; v < ref.memory.size(); ++v)
+      ASSERT_EQ(res.memory[v], ref.memory[v]) << wl.name << " v" << v;
+  }
+  // Same seed, same schedule: the batched engine's no-observer fast path
+  // (above), its instrumented path (any attached observer selects it) and
+  // the single-step engine must produce the identical execution, whole
+  // ExecResult, even for nondeterministic kernels.  At clock_alpha 3
+  // subphases routinely end incomplete, and the paths must still agree.
+  NoOpObserver noop;
+  for (const double alpha : {kClockAlpha, 3.0}) {
+    const exec::ExecResult fast =
+        alpha == kClockAlpha
+            ? res
+            : run_exec(p, alpha, sim::GrantEngine::kBatched, nullptr);
+    EXPECT_EQ(fields(run_exec(p, alpha, sim::GrantEngine::kBatched, &noop)),
+              fields(fast))
+        << wl.name << " alpha=" << alpha << ": instrumented path diverged";
+    EXPECT_EQ(
+        fields(run_exec(p, alpha, sim::GrantEngine::kSingleStep, nullptr)),
+        fields(fast))
+        << wl.name << " alpha=" << alpha << ": single-step engine diverged";
   }
 }
 

@@ -1,8 +1,8 @@
 // Flush-boundary semantics of the batched observer path (observer.h's
 // delivery contract made executable): exactly-once delivery across sliced
 // run() calls and mid-batch exits, flush-then-throw on every fault class,
-// span boundaries as pure framing, the step_synchronous escape hatch, and
-// stream equality against the single-step reference engine.
+// span boundaries as pure framing, and stream equality against the
+// single-step reference engine.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -36,25 +36,6 @@ struct Recorder final : StepObserver {
   void on_steps(std::span<const StepEvent> evs) override {
     spans.push_back(evs.size());
     for (const StepEvent& ev : evs) events.push_back(key_of(ev));
-  }
-};
-
-/// Per-step recorder that demands exact-step delivery and, for every write,
-/// re-reads the LIVE memory cell at delivery time.  On the synchronous path
-/// the live cell always equals ev.after; under deferred delivery a later
-/// write to the same cell has already landed.
-struct LiveCellProbe final : StepObserver {
-  explicit LiveCellProbe(const Simulator& s, bool sync)
-      : sim(&s), synchronous(sync) {}
-  const Simulator* sim;
-  bool synchronous;
-  std::size_t writes_seen = 0;
-  std::size_t live_matches = 0;
-  bool step_synchronous() const noexcept override { return synchronous; }
-  void on_step(const StepEvent& ev) override {
-    if (ev.op.kind != Op::Kind::Write) return;
-    ++writes_seen;
-    live_matches += sim->memory().at(ev.op.addr) == ev.after;
   }
 };
 
@@ -246,41 +227,6 @@ TEST(ObserverBatch, OutOfRangeAddressFaultsWithoutEventAndMatchesReference) {
   EXPECT_EQ(batched.second, single.second);
   // 3 locals + 3 interleaved steps of proc 1; the OOB read never executes.
   EXPECT_EQ(batched.first.size(), 6u);
-}
-
-// --- The step_synchronous escape hatch --------------------------------------
-
-TEST(ObserverBatch, SynchronousObserverSeesLiveStateAtEachStep) {
-  auto sim = make_sim(2, 2, GrantEngine::kBatched);
-  sim.spawn([&](Ctx& c) { return incrementer(c, 0, 50); });
-  sim.spawn([&](Ctx& c) { return incrementer(c, 0, 50); });
-  LiveCellProbe sync_probe(sim, /*sync=*/true);
-  LiveCellProbe batch_probe(sim, /*sync=*/false);
-  sim.add_observer(&sync_probe);
-  sim.add_observer(&batch_probe);
-  sim.run(150);
-  ASSERT_GT(sync_probe.writes_seen, 10u);
-  EXPECT_EQ(sync_probe.live_matches, sync_probe.writes_seen)
-      << "synchronous delivery must observe post-step memory exactly";
-  EXPECT_EQ(batch_probe.writes_seen, sync_probe.writes_seen);
-  EXPECT_LT(batch_probe.live_matches, batch_probe.writes_seen)
-      << "two procs racing one cell: deferred delivery must lag live memory "
-         "for at least one write";
-}
-
-TEST(ObserverBatch, MixedChainDeliversToBothExactlyOnce) {
-  auto sim = make_sim(2, 4, GrantEngine::kBatched);
-  sim.spawn([&](Ctx& c) { return mixed_proc(c, 0); });
-  sim.spawn([&](Ctx& c) { return mixed_proc(c, 1); });
-  Recorder batch_rec;
-  LiveCellProbe sync_probe(sim, /*sync=*/true);
-  sim.add_observer(&batch_rec);
-  sim.add_observer(&sync_probe);
-  sim.run(300);
-  EXPECT_EQ(batch_rec.events.size(), 300u);
-  // mixed_proc writes every 3rd step; two procs -> 100 writes total.
-  EXPECT_EQ(sync_probe.writes_seen, 100u);
-  EXPECT_EQ(sync_probe.live_matches, sync_probe.writes_seen);
 }
 
 // --- flush_observers() outside a consume loop --------------------------------
