@@ -3,6 +3,7 @@
 #include <chrono>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 
 #include "batch/sweep.h"
@@ -22,15 +23,43 @@ constexpr std::uint64_t kInterleaveTag = 0x17E21EAFULL;
 /// simulated executor's kBeta (exec/executor.cpp).
 constexpr std::size_t kBeta = 8;
 
-/// Steps per visit under Interleave::kBlock.  64 keeps a processor's RNG
-/// and loop state register-resident across the block (measured ~1.1-1.3x
-/// over per-visit round-robin) while staying far inside a phase: even at
-/// alpha = 48 a tick spans ~alpha*lg(n) visits per processor.
+std::size_t bin_cells(std::size_t nprocs) {
+  return std::max<std::size_t>(4, kBeta * lg(nprocs));
+}
+
+/// Steps per visit under Interleave::kBlock.  64 keeps one processor's
+/// record hot in L1 across the block (measured ~1.1-1.3x over per-visit
+/// round-robin) while staying far inside a phase: even at alpha = 48 a tick
+/// spans ~alpha*lg(n) visits per processor.
 constexpr std::size_t kBlockSteps = 64;
 
 /// run_until_clean()'s attempt cap and per-retry seed offset.
 constexpr int kMaxAttempts = 4;
 constexpr std::uint64_t kRetrySeedStep = 1000;
+
+/// Rejects a configuration no run can be built from, before the constructor
+/// sizes or casts anything from it.
+const HostExecConfig& checked(const HostExecConfig& cfg,
+                              const pram::Program& program) {
+  const std::size_t p = program.nthreads();
+  if (cfg.generations < 2)
+    throw std::invalid_argument("HostExecutor: generations must be >= 2");
+  // tau = alpha * P is cast to an integer: NaN, infinities and products
+  // past 2^63 would make that cast undefined, and alpha <= 0 would make
+  // tau = 1 (a tick per clock update).
+  if (!(cfg.clock_alpha > 0.0) ||
+      !(cfg.clock_alpha * static_cast<double>(p) < 0x1p63))
+    throw std::invalid_argument(
+        "HostExecutor: clock_alpha must be finite and > 0 (and alpha * P "
+        "below 2^63)");
+  // Every plan address is 32 bits: clock slots | bins | generation slots.
+  const __uint128_t words =
+      p + static_cast<__uint128_t>(p) * bin_cells(p) +
+      static_cast<__uint128_t>(program.nvars()) * cfg.generations;
+  if (words >= std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("HostExecutor: layout exceeds 32-bit plans");
+  return cfg;
+}
 
 }  // namespace
 
@@ -60,27 +89,22 @@ bool parse_interleave(const std::string& s, Interleave& out) noexcept {
 
 HostExecutor::HostExecutor(const pram::Program& program, HostExecConfig cfg)
     : prog_(&program),
-      cfg_(cfg),
+      cfg_(checked(cfg, program)),
       n_(program.nthreads()),
-      nthreads_(resolve_os_threads(cfg.os_threads, program.nthreads())),
-      b_(std::max<std::size_t>(4, kBeta * lg(program.nthreads()))),
+      nthreads_(resolve_os_threads(cfg_.os_threads, n_)),
+      b_(bin_cells(n_)),
       clock_base_(0),
       bins_base_(n_),
       var_base_(n_ + n_ * b_),
       clock_tau_(std::max<std::uint64_t>(
-          1, static_cast<std::uint64_t>(cfg.clock_alpha *
+          1, static_cast<std::uint64_t>(cfg_.clock_alpha *
                                         static_cast<double>(n_)))),
       clock_samples_(std::max<std::size_t>(1, 3 * lg(n_))),
       stride_(std::max<std::uint64_t>(1, lg(n_))),
       end_tick_(2 * static_cast<std::uint64_t>(program.nsteps())),
-      mem_(n_ + n_ * b_ + program.nvars() * cfg.generations),
+      mem_(n_ + n_ * b_ + program.nvars() * cfg_.generations),
       done_(nthreads_),
       error_slot_(nthreads_) {
-  if (cfg.generations < 2)
-    throw std::invalid_argument("HostExecutor: generations must be >= 2");
-  if (mem_.size() >= std::numeric_limits<std::uint32_t>::max())
-    throw std::invalid_argument("HostExecutor: layout exceeds 32-bit plans");
-
   // --- virtual processors + slices ------------------------------------------
   procs_.resize(n_);
   apex::SeedTree seeds{cfg_.seed};
@@ -200,12 +224,12 @@ struct Orders {
 };
 
 template <bool kSeqCst>
-bool HostExecutor::eval(HostProc& vp, std::size_t s, std::size_t i,
+bool HostExecutor::eval(HostProc& p, std::size_t s, std::size_t i,
                         std::uint64_t& out) {
   constexpr std::memory_order ld_ = Orders<kSeqCst>::kLd;
   const OpPlan& pl = plans_[s * n_ + i];
   if (pl.op == pram::OpCode::kNop) {
-    vp.work += 1;
+    p.compute_work += 1;
     out = 0;
     return true;
   }
@@ -217,9 +241,9 @@ bool HostExecutor::eval(HostProc& vp, std::size_t s, std::size_t i,
   // gave, at plain-load cost on x86/ARM ldar.
   if (pl.nreads >= 1) {
     const HostCell c = mem_.read_unchecked(pl.x_addr, ld_);
-    vp.work += 1;
+    p.compute_work += 1;
     if (c.stamp != pl.x_want) {
-      ++vp.misses;
+      ++p.misses;
       return false;
     }
     xv = c.value;
@@ -237,31 +261,31 @@ bool HostExecutor::eval(HostProc& vp, std::size_t s, std::size_t i,
           pram::stamp_of_writer(prog_->last_writer_before(s, target)));
       const std::size_t addr = var_addr(target, want);
       const HostCell c = mem_.read_unchecked(addr, ld_);
-      vp.work += 1;
+      p.compute_work += 1;
       if (c.stamp != want) {
-        ++vp.misses;
+        ++p.misses;
         return false;
       }
       gv = c.value;
     }
-    vp.work += 1;
+    p.compute_work += 1;
     out = gv;
     return true;
   }
   if (pl.nreads >= 2) {
     const HostCell c = mem_.read_unchecked(pl.y_addr, ld_);
-    vp.work += 1;
+    p.compute_work += 1;
     if (c.stamp != pl.y_want) {
-      ++vp.misses;
+      ++p.misses;
       return false;
     }
     yv = c.value;
   }
   if (pl.nreads >= 3) {
     const HostCell c = mem_.read_unchecked(pl.c_addr, ld_);
-    vp.work += 1;
+    p.compute_work += 1;
     if (c.stamp != pl.c_want) {
-      ++vp.misses;
+      ++p.misses;
       return false;
     }
     cv = c.value;
@@ -278,24 +302,24 @@ bool HostExecutor::eval(HostProc& vp, std::size_t s, std::size_t i,
           pram::stamp_of_writer(prog_->last_writer_before(s, target)));
       const std::size_t addr = var_addr(target, want);
       const HostCell c = mem_.read_unchecked(addr, ld_);
-      vp.work += 1;
+      p.compute_work += 1;
       if (c.stamp != want) {
-        ++vp.misses;
+        ++p.misses;
         return false;
       }
       gv = c.value;
     }
-    vp.work += 1;
+    p.compute_work += 1;
     out = gv;
     return true;
   }
-  vp.work += 1;  // the basic computation / random draw
+  p.compute_work += 1;  // the basic computation / random draw
   switch (pl.op) {
     case pram::OpCode::kRandBelow:
-      out = pl.ins->imm == 0 ? 0 : vp.rng.below(pl.ins->imm);
+      out = pl.ins->imm == 0 ? 0 : p.rng.below(pl.ins->imm);
       return true;
     case pram::OpCode::kCoin:
-      out = vp.rng.uniform() * 4294967296.0 <
+      out = p.rng.uniform() * 4294967296.0 <
                     static_cast<double>(pl.ins->imm)
                 ? 1
                 : 0;
@@ -307,13 +331,16 @@ bool HostExecutor::eval(HostProc& vp, std::size_t s, std::size_t i,
 }
 
 template <bool kSeqCst>
-bool HostExecutor::visit(HostProc& vp) {
+[[gnu::flatten]] bool HostExecutor::visit(HostProc& vp) {
   constexpr std::memory_order ld_clock_ = Orders<kSeqCst>::kLdClock;
   constexpr std::memory_order st_clock_ = Orders<kSeqCst>::kStClock;
-  constexpr std::memory_order ld_ = Orders<kSeqCst>::kLd;
-  constexpr std::memory_order st_ = Orders<kSeqCst>::kSt;
-  if (vp.iter == 0) {
-    vp.iter = stride_ - 1;
+  // The visit runs on a local copy of the record, written back once at the
+  // end.  Every call is flattened into visit (Rng::next/below are inline),
+  // so the copy's address never escapes and the RNG state and loop fields
+  // stay in registers across every draw and probe.
+  HostProc p = vp;
+  if (p.iter == 0) {
+    p.iter = stride_ - 1;
     // Update-Clock then Read-Clock (sampled estimate, monotone clamp).
     // Relaxed on every clock word: each slot is an independent counter and
     // the construction already tolerates (a) arbitrarily stale reads — a
@@ -323,112 +350,138 @@ bool HostExecutor::visit(HostProc& vp) {
     // occur under seq_cst too (the race is at protocol level, not memory
     // level).  No other word's value is ever inferred from a clock read, so
     // no release/acquire pairing is being bypassed.
-    const std::size_t slot = static_cast<std::size_t>(vp.rng.below(n_));
+    const std::size_t slot = static_cast<std::size_t>(p.rng.below(n_));
     const HostCell c = mem_.read_unchecked(clock_base_ + slot, ld_clock_);
     mem_.write_unchecked(clock_base_ + slot, c.value + 1, 0, st_clock_);
-    vp.work += 2;
     std::uint64_t sampled = 0;
     for (std::size_t k = 0; k < clock_samples_; ++k)
       sampled +=
-          mem_.read_unchecked(clock_base_ + vp.rng.below(n_), ld_clock_).value;
-    vp.work += clock_samples_ + 1;
+          mem_.read_unchecked(clock_base_ + p.rng.below(n_), ld_clock_).value;
+    // The update's read and write, the samples, and the estimate.
+    p.clock_work += clock_samples_ + 3;
     const double est = static_cast<double>(sampled) *
                        (static_cast<double>(n_) /
                         static_cast<double>(clock_samples_));
-    vp.clamp =
-        std::max(vp.clamp, static_cast<std::uint64_t>(est) / clock_tau_);
-    vp.tick = vp.clamp;
-    if (vp.tick >= end_tick_) {
-      vp.done = true;
-      return true;
-    }
+    p.clamp = std::max(p.clamp, static_cast<std::uint64_t>(est) / clock_tau_);
+    p.tick = p.clamp;
+    p.done = p.tick >= end_tick_;
   } else {
-    --vp.iter;
+    --p.iter;
   }
+  if (!p.done) {
+    const std::size_t s = static_cast<std::size_t>(p.tick >> 1);
+    const std::size_t i = static_cast<std::size_t>(p.rng.below(n_));
+    if ((p.tick & 1) == 0)
+      compute_visit<kSeqCst>(p, s, i, step_stamp_[s]);
+    else
+      copy_visit<kSeqCst>(p, s, i, step_stamp_[s]);
+  }
+  vp = p;
+  return p.done;
+}
 
-  const std::size_t s = static_cast<std::size_t>(vp.tick >> 1);
-  const std::uint32_t stamp = step_stamp_[s];
-  const std::size_t i = static_cast<std::size_t>(vp.rng.below(n_));
-  vp.work += 1;  // the random task choice
+template <bool kSeqCst>
+void HostExecutor::compute_visit(HostProc& p, std::size_t s, std::size_t i,
+                                 std::uint32_t stamp) {
+  constexpr std::memory_order ld_ = Orders<kSeqCst>::kLd;
+  constexpr std::memory_order st_ = Orders<kSeqCst>::kSt;
+  // One bin-array agreement cycle (Fig. 2).  Bin loads are acquire / bin
+  // stores release: a cell's (value, stamp) pair is complete in its single
+  // word (no ordering needed for integrity), and the release/acquire
+  // pairing preserves the copy-forward provenance argument — a cell
+  // observed with the current stamp happens-after the write that published
+  // it, so the value copied up from cell j-1 is a genuinely published
+  // proposal, exactly as under seq_cst.
   const std::size_t brow = bins_base_ + i * b_;
+  // Full-bin exit: once the top cell carries the step's stamp the bin is
+  // full and the cycle would write nothing, so the visit ends after the
+  // task choice and this one read.  Probe order is not part of the safety
+  // argument (a copy-forward write below still re-reads cell j-1), and a
+  // visit that writes nothing is a stalled processor to every other one.
+  p.compute_work += 2;  // the random task choice and the top-cell read
+  if (mem_.read_unchecked(brow + b_ - 1, ld_).stamp == stamp) return;
+  // Otherwise binary-search the other b-1 cells for the first one without
+  // the stamp: j in [0, b-1].
+  std::ptrdiff_t lo = -1, hi = static_cast<std::ptrdiff_t>(b_) - 1;
+  while (hi - lo > 1) {
+    const std::ptrdiff_t mid = lo + (hi - lo) / 2;
+    const HostCell c =
+        mem_.read_unchecked(brow + static_cast<std::size_t>(mid), ld_);
+    p.compute_work += 1;
+    if (c.stamp == stamp)
+      lo = mid;
+    else
+      hi = mid;
+  }
+  const std::size_t j = static_cast<std::size_t>(hi);
+  if (j == 0) {
+    std::uint64_t v;
+    if (eval<kSeqCst>(p, s, i, v)) {
+      mem_.write_unchecked(brow, v, stamp, st_);
+      p.compute_work += 1;
+    }
+    return;
+  }
+  const HostCell prev = mem_.read_unchecked(brow + j - 1, ld_);
+  p.compute_work += 1;
+  if (prev.stamp == stamp) {
+    mem_.write_unchecked(brow + j, prev.value, stamp, st_);
+    p.compute_work += 1;
+  }
+}
 
-  if ((vp.tick & 1) == 0) {
-    // Compute subphase: one bin-array agreement cycle (Fig. 2).  Bin loads
-    // are acquire / bin stores release: a cell's (value, stamp) pair is
-    // complete in its single word (no ordering needed for integrity), and
-    // the release/acquire pairing preserves the copy-forward provenance
-    // argument — a cell observed with the current stamp happens-after the
-    // write that published it, so the value copied up from cell j-1 is a
-    // genuinely published proposal, exactly as under seq_cst.
-    std::ptrdiff_t lo = -1, hi = static_cast<std::ptrdiff_t>(b_);
-    while (hi - lo > 1) {
-      const std::ptrdiff_t mid = lo + (hi - lo) / 2;
-      const HostCell c =
-          mem_.read_unchecked(brow + static_cast<std::size_t>(mid), ld_);
-      vp.work += 1;
-      if (c.stamp == stamp)
-        lo = mid;
-      else
-        hi = mid;
-    }
-    const std::size_t j = static_cast<std::size_t>(hi);
-    if (j == 0) {
-      std::uint64_t v;
-      if (eval<kSeqCst>(vp, s, i, v)) {
-        mem_.write_unchecked(brow, v, stamp, st_);
-        vp.work += 1;
-      }
-    } else if (j < b_) {
-      const HostCell prev = mem_.read_unchecked(brow + j - 1, ld_);
-      vp.work += 1;
-      if (prev.stamp == stamp) {
-        mem_.write_unchecked(brow + j, prev.value, stamp, st_);
-        vp.work += 1;
-      }
-    }
-  } else {
-    // Copy subphase: fetch the agreed NewVal[i] from the bin's upper
-    // half and commit it to z_i's generation slot.
-    const OpPlan& pl = plans_[s * n_ + i];
-    if (!pl.writes) return false;
-    bool got = false;
-    std::uint64_t v = 0;
-    for (std::size_t j = b_ / 2; j < b_; ++j) {
-      const HostCell c = mem_.read_unchecked(brow + j, ld_);
-      vp.work += 1;
-      if (c.stamp == stamp) {
-        v = c.value;
-        got = true;
-        break;
-      }
-    }
-    if (got) {
-      // Never regress a newer generation.  Real threads have UNBOUNDED
-      // tick-estimate staleness (the OS can park a thread across whole
-      // phases), so a woken straggler may re-run a copy task from G or
-      // more steps ago — blindly storing would clobber the newer write
-      // sharing the slot (stamp congruent mod G) with a stale value.
-      // The simulated executor needs no guard: its estimate skew is a
-      // couple of ticks, far inside the G-generation window.  The
-      // read+write pair below is not atomic, but shrinking the race from
-      // "parked anywhere since the task was chosen" to "parked between
-      // these two instructions AND for >= 2(G-1) ticks" makes it
-      // vanishingly unlikely rather than routine — and the post-run
-      // audit + repair pass (audit_and_repair) catches what remains.
-      // Commit store is release (pairs with the operand acquire above);
-      // the guard read is acquire.  Seq_cst would additionally order this
-      // commit against commits to OTHER slots in a global sequence, but
-      // no reader ever infers one slot's state from another's, so that
-      // ordering is never consumed.
-      const HostCell cur = mem_.read_unchecked(pl.z_addr, ld_);
-      vp.work += 1;
-      if (cur.stamp <= stamp) {
-        mem_.write_unchecked(pl.z_addr, v, stamp, st_);
-        vp.work += 1;
-      }
+template <bool kSeqCst>
+void HostExecutor::copy_visit(HostProc& p, std::size_t s, std::size_t i,
+                              std::uint32_t stamp) {
+  constexpr std::memory_order ld_ = Orders<kSeqCst>::kLd;
+  constexpr std::memory_order st_ = Orders<kSeqCst>::kSt;
+  // Fetch the agreed NewVal[i] from the bin's upper half and commit it to
+  // z_i's generation slot.
+  p.copy_work += 1;  // the random task choice
+  const OpPlan& pl = plans_[s * n_ + i];
+  if (!pl.writes) return;
+  // Committed-slot exit: a slot stamped with this step already holds the
+  // step's unique agreed value (Theorem 1), and a newer stamp must not be
+  // regressed — the guard below would rewrite the same word or nothing.
+  p.copy_work += 1;
+  if (mem_.read_unchecked(pl.z_addr, ld_).stamp >= stamp) return;
+  const std::size_t brow = bins_base_ + i * b_;
+  bool got = false;
+  std::uint64_t v = 0;
+  for (std::size_t j = b_ / 2; j < b_; ++j) {
+    const HostCell c = mem_.read_unchecked(brow + j, ld_);
+    p.copy_work += 1;
+    if (c.stamp == stamp) {
+      v = c.value;
+      got = true;
+      break;
     }
   }
-  return false;
+  if (!got) return;
+  // Never regress a newer generation.  Real threads have UNBOUNDED
+  // tick-estimate staleness (the OS can park a thread across whole
+  // phases), so a woken straggler may re-run a copy task from G or
+  // more steps ago — blindly storing would clobber the newer write
+  // sharing the slot (stamp congruent mod G) with a stale value.
+  // The simulated executor needs no guard: its estimate skew is a
+  // couple of ticks, far inside the G-generation window.  The
+  // read+write pair below is not atomic, but shrinking the race from
+  // "parked anywhere since the task was chosen" to "parked between
+  // these two instructions AND for >= 2(G-1) ticks" makes it
+  // vanishingly unlikely rather than routine — and the post-run
+  // audit + repair pass (audit_and_repair) catches what remains.  The
+  // exit above does not replace this read: the scan sits between them.
+  // Commit store is release (pairs with the operand acquire above);
+  // the guard read is acquire.  Seq_cst would additionally order this
+  // commit against commits to OTHER slots in a global sequence, but
+  // no reader ever infers one slot's state from another's, so that
+  // ordering is never consumed.
+  const HostCell cur = mem_.read_unchecked(pl.z_addr, ld_);
+  p.copy_work += 1;
+  if (cur.stamp <= stamp) {
+    mem_.write_unchecked(pl.z_addr, v, stamp, st_);
+    p.copy_work += 1;
+  }
 }
 
 template <bool kSeqCst>
@@ -615,9 +668,12 @@ HostExecResult HostExecutor::run() {
   for (std::size_t tid = 0; tid < nthreads_; ++tid)
     out.completed &= (done_[tid].load(std::memory_order_seq_cst) == 1);
   for (const HostProc& vp : procs_) {
-    out.total_work += vp.work;
+    out.clock_work += vp.clock_work;
+    out.compute_work += vp.compute_work;
+    out.copy_work += vp.copy_work;
     out.stamp_misses += vp.misses;
   }
+  out.total_work = out.clock_work + out.compute_work + out.copy_work;
 
   if (cfg_.preaudit_fault) cfg_.preaudit_fault(mem_);
   if (out.completed) audit_and_repair(out);

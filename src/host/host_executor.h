@@ -47,6 +47,17 @@
 // tardy.  Non-zero lost_commits means the memory must not be trusted;
 // run_until_clean() is the re-run policy.
 //
+// Cycle cost depends on memory contents here.  The simulator pads every
+// agreement cycle to exactly ω steps (§3, "Work Per Cycle"), so a cycle's
+// cost is independent of what it reads.  The host does not pad, and two
+// visits stop early: a Compute visit whose bin's top cell already carries
+// the step's stamp (full bin), and a Copy visit whose generation slot
+// already carries it (committed slot).  Each costs the task choice plus
+// one read.  Such a visit writes nothing, so to every other processor it
+// is a stalled processor — a behaviour any adversary may produce — which
+// is why the exits cost no correctness (see compute_visit/copy_visit).
+// Host work is therefore not comparable step for step with simulator work.
+//
 // Limits vs the simulator executor: program values must fit in 40 bits
 // (host Pack width), and there is no produced-trace monitor — tests verify
 // invariants on the final memory (deterministic kernels against the
@@ -132,6 +143,14 @@ struct HostExecConfig {
 struct HostExecResult {
   bool completed = false;        ///< Every thread saw the final tick.
   std::uint64_t total_work = 0;  ///< Atomic steps summed over processors.
+  /// total_work split by what the step served: clock_work is Update-Clock
+  /// and Read-Clock; compute_work is every step of a Compute-subphase visit
+  /// (task choice, bin probes, operand reads, evaluation, bin writes);
+  /// copy_work is every step of a Copy-subphase visit (task choice, slot and
+  /// bin reads, the commit).  The three sum to total_work.
+  std::uint64_t clock_work = 0;
+  std::uint64_t compute_work = 0;
+  std::uint64_t copy_work = 0;
   double wall_seconds = 0.0;
   std::vector<std::uint64_t> memory;  ///< Final value of each variable.
   std::uint64_t stamp_misses = 0;     ///< Operand reads that found a stale
@@ -196,7 +215,9 @@ class HostExecutor {
                                     ///< test — no per-visit divide).
     std::uint64_t tick = 0;         ///< Latest clock estimate.
     std::uint64_t clamp = 0;        ///< Monotone reader clamp.
-    std::uint64_t work = 0;
+    std::uint64_t clock_work = 0;   ///< Work split, see HostExecResult.
+    std::uint64_t compute_work = 0;
+    std::uint64_t copy_work = 0;
     std::uint64_t misses = 0;
     bool done = false;
   };
@@ -225,8 +246,16 @@ class HostExecutor {
   /// processor observed the final tick (it must not be visited again).
   template <bool kSeqCst>
   bool visit(HostProc& vp);
+  /// The Compute- and Copy-subphase halves of visit() for task i of step s,
+  /// on visit()'s local copy of the processor.
   template <bool kSeqCst>
-  bool eval(HostProc& vp, std::size_t s, std::size_t i, std::uint64_t& out);
+  void compute_visit(HostProc& p, std::size_t s, std::size_t i,
+                     std::uint32_t stamp);
+  template <bool kSeqCst>
+  void copy_visit(HostProc& p, std::size_t s, std::size_t i,
+                  std::uint32_t stamp);
+  template <bool kSeqCst>
+  bool eval(HostProc& p, std::size_t s, std::size_t i, std::uint64_t& out);
   void record_error(std::size_t tid, const char* what);
   void audit_and_repair(HostExecResult& out);
 

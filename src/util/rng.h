@@ -35,6 +35,10 @@ class Rng {
   static constexpr result_type max() noexcept { return ~0ULL; }
 
   result_type operator()() noexcept { return next(); }
+
+  // next(), below() and uniform() are defined inline (after the class) so a
+  // hot loop that copies an Rng into a local keeps the four state words in
+  // registers across every draw.
   std::uint64_t next() noexcept;
 
   /// Uniform integer in [0, bound). bound must be > 0.
@@ -64,8 +68,44 @@ class Rng {
   }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
+
+inline std::uint64_t Rng::next() noexcept {
+  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = rotl(s_[3], 45);
+  return result;
+}
+
+inline std::uint64_t Rng::below(std::uint64_t bound) noexcept {
+  // Lemire's nearly-divisionless unbiased bounded generation.
+  std::uint64_t x = next();
+  __uint128_t m = static_cast<__uint128_t>(x) * bound;
+  std::uint64_t l = static_cast<std::uint64_t>(m);
+  if (l < bound) [[unlikely]] {
+    std::uint64_t t = -bound % bound;
+    while (l < t) {
+      x = next();
+      m = static_cast<__uint128_t>(x) * bound;
+      l = static_cast<std::uint64_t>(m);
+    }
+  }
+  return static_cast<std::uint64_t>(m >> 64);
+}
+
+inline double Rng::uniform() noexcept {
+  return static_cast<double>(next() >> 11) * 0x1.0p-53;
+}
 
 /// A root seed fan-out: named streams for the major subsystems so tests and
 /// benches can document exactly where each coin came from.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "pram/interp.h"
@@ -114,10 +115,27 @@ TEST(HostExecutor, ConsistencyProbeHoldsOnRealThreads) {
 }
 
 TEST(HostExecutor, GenerationsValidated) {
+  // Rejected before anything is sized from it: 10^11 generations must be
+  // a clean std::invalid_argument, not std::bad_alloc from the layout.
   pram::Program p = pram::make_coin_matrix(2, 1, 0.5);
-  HostExecConfig cfg;
-  cfg.generations = 1;
-  EXPECT_THROW(HostExecutor(p, cfg), std::invalid_argument);
+  for (const std::size_t g : {std::size_t{0}, std::size_t{1},
+                              std::size_t{100000000000}}) {
+    HostExecConfig cfg;
+    cfg.generations = g;
+    EXPECT_THROW(HostExecutor(p, cfg), std::invalid_argument) << "G=" << g;
+  }
+}
+
+TEST(HostExecutor, ClockAlphaValidated) {
+  // tau = alpha * P is cast to an integer: NaN, infinities and negative
+  // alpha would make that cast undefined, and alpha = 0 would mean tau = 1.
+  pram::Program p = pram::make_coin_matrix(2, 1, 0.5);
+  for (const double alpha : {0.0, -1.0, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    HostExecConfig cfg;
+    cfg.clock_alpha = alpha;
+    EXPECT_THROW(HostExecutor(p, cfg), std::invalid_argument)
+        << "alpha=" << alpha;
+  }
 }
 
 TEST(HostExecutor, PackWidthOverflowAbortsCleanlyInsteadOfCrashing) {

@@ -279,6 +279,32 @@ TEST(HostVirtual, UnrepairableSlotStaysLost) {
   EXPECT_EQ(res.lost_commits, 1u);
 }
 
+TEST(HostVirtual, WorkSplitSumsToTotalOnEveryRegistryWorkload) {
+  // The per-processor ledger (clock / Compute / Copy work), summed at join,
+  // accounts for every step of total_work.  Every clock update costs the
+  // same 3 + 3 lg P steps (update read and write, the samples, the
+  // estimate), so clock work is a whole number of updates.
+  for (const auto& spec : pram::workload_registry()) {
+    std::size_t n = std::max<std::size_t>(spec.min_n, 8);
+    while (!pram::workload_supports_n(spec, n)) ++n;
+    const pram::Program p = spec.make(n);
+    const std::uint64_t update =
+        3 + std::max<std::uint64_t>(1, 3 * lg(p.nthreads()));
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      const HostExecResult res =
+          HostExecutor(p, virt_cfg(7, threads)).run();
+      ASSERT_TRUE(res.completed) << spec.name << " error=" << res.error;
+      EXPECT_EQ(res.clock_work + res.compute_work + res.copy_work,
+                res.total_work)
+          << spec.name << " T=" << threads;
+      EXPECT_EQ(res.clock_work % update, 0u) << spec.name << " T=" << threads;
+      EXPECT_GT(res.clock_work, 0u) << spec.name;
+      EXPECT_GT(res.compute_work, 0u) << spec.name;
+      EXPECT_GT(res.copy_work, 0u) << spec.name;
+    }
+  }
+}
+
 // --- P >> T at scale --------------------------------------------------------
 
 TEST(HostVirtual, LargeInstanceOnTwoThreads) {

@@ -13,6 +13,61 @@ TEST(Rng, DeterministicFromSeed) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
 }
 
+// Golden values: the streams every seeded artifact depends on (fuzz corpora,
+// bench tables, T=1 host runs) must not drift when the generator's code
+// moves.  Values recorded from the out-of-line implementation.
+TEST(RngGolden, NextStream) {
+  Rng r(42);
+  EXPECT_EQ(r.next(), 0x15780b2e0c2ec716ULL);
+  EXPECT_EQ(r.next(), 0x6104d9866d113a7eULL);
+  EXPECT_EQ(r.next(), 0xae17533239e499a1ULL);
+  EXPECT_EQ(r.next(), 0xecb8ad4703b360a1ULL);
+  Rng z(0);
+  EXPECT_EQ(z.next(), 0x99ec5f36cb75f2b4ULL);
+  EXPECT_EQ(z.next(), 0xbf6e1f784956452aULL);
+}
+
+TEST(RngGolden, BelowSmallBounds) {
+  Rng a(7);
+  for (std::uint64_t want : {2869u, 1141u, 3439u, 4018u, 4058u, 3574u})
+    EXPECT_EQ(a.below(4096), want);
+  Rng b(7);
+  for (std::uint64_t want : {7u, 2u, 8u, 9u, 9u, 8u})
+    EXPECT_EQ(b.below(10), want);
+}
+
+TEST(RngGolden, BelowRejectionLoop) {
+  // Bound 2^63 + 1 rejects about half of all draws (Lemire's slow path):
+  // six results consume twelve draws on this seed.
+  const std::uint64_t bound = (1ULL << 63) + 1;
+  Rng r(7);
+  for (std::uint64_t want :
+       {0x59ac7d7ba77cbb2dULL, 0x6b78e9a4ca963ccbULL, 0x7d949c398f403920ULL,
+        0x7ed482763f2a018cULL, 0x136eb5d000c700b1ULL, 0x5dad879c48f94fecULL})
+    EXPECT_EQ(r.below(bound), want);
+  Rng draws(7);
+  for (int i = 0; i < 12; ++i) (void)draws.next();
+  EXPECT_EQ(r.next(), draws.next());
+}
+
+TEST(RngGolden, Uniform) {
+  Rng r(13);
+  EXPECT_EQ(r.uniform(), 0x1.f038933268cf8p-3);
+  EXPECT_EQ(r.uniform(), 0x1.90cb640a8d125p-1);
+  EXPECT_EQ(r.uniform(), 0x1.ed028d7a3f629p-1);
+}
+
+TEST(RngGolden, ChildAndProcessorStreams) {
+  Rng parent(99);
+  Rng c1 = parent.child(1);
+  EXPECT_EQ(c1.next(), 0xe55426925021c89cULL);
+  EXPECT_EQ(c1.next(), 0x91b69a5daab5e773ULL);
+  EXPECT_EQ(parent.child(2).next(), 0x28acc819f8d9453eULL);
+  Rng p3 = SeedTree{1}.processor(3);
+  EXPECT_EQ(p3.next(), 0x1cd79159309fdfc8ULL);
+  EXPECT_EQ(p3.below(4096), 288u);
+}
+
 TEST(Rng, DifferentSeedsDiffer) {
   Rng a(1), b(2);
   int equal = 0;

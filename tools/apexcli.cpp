@@ -76,6 +76,7 @@
 #include <numeric>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -217,7 +218,15 @@ std::optional<std::vector<pram::Word>> run_engine(
                 host::resolve_os_threads(cfg.os_threads, p.nthreads()),
                 host::interleave_name(cfg.interleave),
                 cfg.seq_cst ? "seq_cst" : "acq_rel", cfg.clock_alpha);
-    const host::HostRun run = host::run_until_clean(p, cfg);
+    host::HostRun run;
+    try {
+      run = host::run_until_clean(p, cfg);
+    } catch (const std::invalid_argument& e) {
+      // A configuration the executor rejects (--generations=1, --alpha=0,
+      // a layout past 32-bit plans) is a usage error, not a crash.
+      std::fprintf(stderr, "%s\n", e.what());
+      std::exit(2);
+    }
     const host::HostExecResult& res = run.result;
     std::printf("  completed=%s work=%llu stamp_misses=%llu attempts=%d "
                 "lost_commits=%zu repaired_commits=%zu wall=%.3fs\n",
@@ -226,6 +235,10 @@ std::optional<std::vector<pram::Word>> run_engine(
                 static_cast<unsigned long long>(res.stamp_misses),
                 run.attempts, run.lost_commits, run.repaired_commits,
                 res.wall_seconds);
+    std::printf("  work split: clock=%llu compute=%llu copy=%llu\n",
+                static_cast<unsigned long long>(res.clock_work),
+                static_cast<unsigned long long>(res.compute_work),
+                static_cast<unsigned long long>(res.copy_work));
     if (!res.completed) {
       std::printf("  aborted: %s\n",
                   res.error.empty() ? "timeout" : res.error.c_str());
@@ -1014,16 +1027,19 @@ int cmd_perfbench(const Args& a) {
   // processor host executor measured from the parent commit of the
   // virtualization PR; "pre_observer_batching": the per-step observer
   // delivery path measured from the parent commit of the observer-batching
-  // PR).  Rewriting the file must not destroy them: lift each block out of
-  // any existing file and splice it back into the fresh output.
+  // PR; "host_pre_fast_exits": the graph rows of the host executor before
+  // its full-bin and committed-slot exits).  Rewriting the file must not
+  // destroy them: lift each block out of any existing file and splice it
+  // back into the fresh output.
   std::vector<std::string> kept_blocks;
   {
     std::ifstream prev(out_path);
     if (prev) {
       std::string text((std::istreambuf_iterator<char>(prev)),
                        std::istreambuf_iterator<char>());
-      for (const char* keyname : {"pre_refactor", "host_pre_virtualization",
-                                  "pre_observer_batching"}) {
+      for (const char* keyname :
+           {"pre_refactor", "host_pre_virtualization", "pre_observer_batching",
+            "host_pre_fast_exits"}) {
         const auto key = text.find('"' + std::string(keyname) + '"');
         const auto open = text.find('{', key);
         if (key == std::string::npos || open == std::string::npos) continue;
