@@ -81,6 +81,32 @@ TEST(Compile, CompiledProgramRunsInInterpreter) {
   EXPECT_EQ(res.memory[3], 2u);
 }
 
+TEST(Compile, DeclarationsMayFollowTheirUses) {
+  // The same kernel twice: every procs/vars/var/segment item after the
+  // steps that use it, then header-first.  Both spell one Program.
+  const std::string steps =
+      "step {\n  0: const v0, 3\n  1: const xs[1], 4\n}\n"
+      "step {\n  0: gather_dyn acc, v0, xs[0], v1, win\n"
+      "  1: add v2, xs[1], v2\n}\n";
+  const std::string decls =
+      "procs 2\nvars 3\nvar acc\nvar xs[4]\nsegment win = xs[1] : 3\n";
+  const auto late = compile_text("pram p\n" + steps + decls);
+  const auto early = compile_text("pram p\n" + decls + steps);
+  ASSERT_TRUE(late.ok()) << first_message(late);
+  ASSERT_TRUE(early.ok()) << first_message(early);
+  const pram::Program& a = *late.program;
+  const pram::Program& b = *early.program;
+  ASSERT_EQ(a.nthreads(), b.nthreads());
+  ASSERT_EQ(a.nvars(), b.nvars());
+  ASSERT_EQ(a.nsteps(), b.nsteps());
+  for (std::size_t s = 0; s < a.nsteps(); ++s)
+    for (std::size_t t = 0; t < a.nthreads(); ++t)
+      EXPECT_EQ(a.step(s).instrs[t], b.step(s).instrs[t])
+          << "step " << s << " thread " << t;
+  EXPECT_EQ(a.nvars(), 8u);
+  EXPECT_EQ(a.step(1).instrs[0], pram::Instr::gather_dyn(3, 0, 4, 1, 5, 3));
+}
+
 // ---- semantic diagnostics (messages; caret goldens in diagnostics_test) ----
 
 TEST(Compile, UndefinedVariable) {

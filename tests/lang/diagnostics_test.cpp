@@ -41,6 +41,25 @@ TEST(DiagnosticsGolden, GatherWindowOverlap) { check_case("window_overlap"); }
 TEST(DiagnosticsGolden, SameStepSegmentWrite) { check_case("segment_write"); }
 TEST(DiagnosticsGolden, UndefinedVariable) { check_case("undefined_var"); }
 TEST(DiagnosticsGolden, VariableIdOverflow) { check_case("id_overflow"); }
+TEST(DiagnosticsGolden, StrayCharacter) { check_case("stray_char"); }
+TEST(DiagnosticsGolden, IntegerOver64Bits) { check_case("int_overflow"); }
+TEST(DiagnosticsGolden, LexErrorBeatsEarlierSyntaxError) {
+  check_case("lex_error_first");
+}
+TEST(DiagnosticsGolden, ExpectedToken) { check_case("expected_token"); }
+TEST(DiagnosticsGolden, UnknownInstruction) { check_case("unknown_instr"); }
+TEST(DiagnosticsGolden, DuplicateLane) { check_case("duplicate_lane"); }
+TEST(DiagnosticsGolden, LaneOutOfRange) { check_case("lane_range"); }
+TEST(DiagnosticsGolden, SubscriptOutOfBounds) {
+  check_case("subscript_bounds");
+}
+TEST(DiagnosticsGolden, UndefinedSegment) { check_case("undefined_segment"); }
+TEST(DiagnosticsGolden, ReservedVariableName) { check_case("reserved_name"); }
+TEST(DiagnosticsGolden, MissingProcs) { check_case("missing_procs"); }
+TEST(DiagnosticsGolden, SemanticErrorsBatchOrder) {
+  check_case("batch_order");
+}
+TEST(DiagnosticsGolden, ErewErrorsBatchOrder) { check_case("erew_order"); }
 
 }  // namespace
 }  // namespace apex::lang

@@ -72,6 +72,19 @@ TEST(RoundTrip, EmitterCoversLargerInstances) {
   }
 }
 
+TEST(RoundTrip, BenchmarkScaleInstances) {
+  // The graph kernels at the size the wall-clock benchmark compiles.
+  for (const char* name : {"bfs", "spmv"}) {
+    const pram::WorkloadSpec* spec = pram::find_workload(name);
+    ASSERT_NE(spec, nullptr);
+    const pram::Program p = spec->make(10000);
+    const CompileResult r =
+        compile_source(SourceFile{name, emit_pram(p, name)});
+    ASSERT_TRUE(r.ok()) << name;
+    EXPECT_TRUE(programs_equal(*r.program, p)) << name << " n=10000";
+  }
+}
+
 TEST(Shipped, TutorialCompilesAndGoldenIsFresh) {
   const std::string root = std::string(APEX_SOURCE_DIR) + "/kernels/";
   SourceFile src{root + "tutorial.pram", slurp(root + "tutorial.pram")};
