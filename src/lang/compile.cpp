@@ -1,26 +1,20 @@
 #include "lang/compile.h"
 
 #include <algorithm>
-#include <cctype>
+#include <filesystem>
 #include <fstream>
 #include <limits>
-#include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
+
+#include "lang/lexer.h"
 
 namespace apex::lang {
 
 namespace {
 
 constexpr std::uint64_t kMaxVarId = std::numeric_limits<std::uint32_t>::max();
-
-/// True for identifiers of the form v<digits> — raw variable indices.
-bool is_raw_ref(const std::string& name) {
-  if (name.size() < 2 || name[0] != 'v') return false;
-  for (std::size_t i = 1; i < name.size(); ++i)
-    if (!std::isdigit(static_cast<unsigned char>(name[i]))) return false;
-  return true;
-}
 
 struct VarInfo {
   std::uint64_t base = 0;
@@ -34,15 +28,16 @@ struct SegInfo {
 
 class Analyzer {
  public:
-  Analyzer(const ProgramSrc& src, std::vector<Diagnostic>& diags)
-      : src_(src), diags_(diags) {}
+  Analyzer(const SourceFile& src, ParsedProgram& p,
+           std::vector<Diagnostic>& diags)
+      : src_(src), p_(p), diags_(diags) {}
 
   std::optional<pram::Program> run() {
     resolve_layout();
     resolve_segments();
     std::vector<pram::Step> steps = build_steps();
-    if (!diags_.empty()) return std::nullopt;
-    check_erew(steps);
+    // EREW conflicts count only once every other check passed.
+    if (diags_.empty()) diags_ = std::move(erew_diags_);
     if (!diags_.empty()) return std::nullopt;
     // Our checks mirror Program's own validation, so this construction
     // cannot throw; the try is a backstop so a checker gap still surfaces
@@ -52,58 +47,72 @@ class Analyzer {
                            static_cast<std::size_t>(nvars_),
                            std::move(steps));
     } catch (const std::exception& e) {
-      diags_.push_back({src_.name_loc,
-                        std::string("internal: program validation failed "
+      error(p_.name_at, std::string("internal: program validation failed "
                                     "after analysis: ") +
-                            e.what()});
+                            e.what());
       return std::nullopt;
     }
   }
 
  private:
-  void error(const Loc& loc, std::string msg) {
-    diags_.push_back({loc, std::move(msg)});
+  void error(std::size_t at, std::string msg) {
+    report(diags_, at, std::move(msg));
   }
+
+  /// Locates from the previous diagnostic: batches mostly move forward.
+  void report(std::vector<Diagnostic>& to, std::size_t at, std::string msg) {
+    last_ = src_.loc_at(at, last_);
+    to.push_back({last_, std::move(msg)});
+  }
+
+  /// Records keep offsets, so names are read back from the source (which
+  /// lexed cleanly once: none_ stays empty).
+  std::string_view spelled(std::size_t at) {
+    Lexer lex(src_, none_, at);
+    return lex.text(lex.next());
+  }
+  std::string name(std::size_t at) { return std::string(spelled(at)); }
 
   // ---- layout ----------------------------------------------------------
 
   void resolve_layout() {
-    if (!src_.procs) {
-      error(src_.name_loc, "program declares no 'procs'");
+    if (!p_.procs) {
+      error(p_.name_at, "program declares no 'procs'");
       procs_ = 1;
-    } else if (*src_.procs == 0) {
-      error(src_.procs_loc, "'procs' must be at least 1");
+    } else if (*p_.procs == 0) {
+      error(p_.procs_at, "'procs' must be at least 1");
       procs_ = 1;
     } else {
-      procs_ = *src_.procs;
+      procs_ = *p_.procs;
     }
     // Named vars allocate sequentially starting at the declared `vars`
     // total (raw-index space first, names appended after), so a file can
     // freely mix `vars N` + raw refs with named declarations.
-    std::uint64_t next = src_.vars.value_or(0);
-    for (const VarDeclSrc& d : src_.var_decls) {
-      if (is_raw_ref(d.name) || opcode_like(d.name) || reserved(d.name)) {
-        error(d.loc, "variable name '" + d.name + "' is reserved");
+    std::uint64_t next = p_.vars.value_or(0);
+    for (const VarDeclRec& d : p_.var_decls) {
+      const std::string_view n = spelled(d.at);
+      if (raw_ref_id(n) || opcode_from_keyword(n) || reserved(n)) {
+        error(d.at, "variable name '" + name(d.at) + "' is reserved");
         continue;
       }
-      if (names_.count(d.name)) {
-        error(d.loc, "variable '" + d.name + "' already declared");
+      if (names_.count(n)) {
+        error(d.at, "variable '" + name(d.at) + "' already declared");
         continue;
       }
       if (d.count == 0) {
-        error(d.loc, "variable '" + d.name + "' has array size 0");
+        error(d.at, "variable '" + name(d.at) + "' has array size 0");
         continue;
       }
-      names_[d.name] = VarInfo{next, d.count};
+      names_[n] = VarInfo{next, d.count};
       next += d.count;
     }
     nvars_ = next;
     if (nvars_ == 0) {
-      error(src_.name_loc, "program declares no variables");
+      error(p_.name_at, "program declares no variables");
       nvars_ = 1;
     }
     if (nvars_ > kMaxVarId + 1) {
-      error(src_.vars ? src_.vars_loc : src_.name_loc,
+      error(p_.vars ? p_.vars_at : p_.name_at,
             "variable id overflow: program needs " + std::to_string(nvars_) +
                 " variables but ids are 32-bit (max " +
                 std::to_string(kMaxVarId + 1) + ")");
@@ -111,311 +120,285 @@ class Analyzer {
     }
   }
 
-  static bool opcode_like(const std::string& n) {
-    using pram::OpCode;
-    for (int i = 0; i <= static_cast<int>(OpCode::kGatherDyn); ++i)
-      if (n == pram::opcode_name(static_cast<OpCode>(i))) return true;
-    return false;
-  }
-
-  static bool reserved(const std::string& n) {
+  static bool reserved(std::string_view n) {
     return n == "pram" || n == "procs" || n == "vars" || n == "var" ||
            n == "segment" || n == "step";
   }
 
   void resolve_segments() {
-    for (const SegDeclSrc& d : src_.seg_decls) {
-      if (segs_.count(d.name)) {
-        error(d.loc, "segment '" + d.name + "' already declared");
+    for (const SegDeclRec& d : p_.seg_decls) {
+      const std::string_view n = spelled(d.at);
+      if (segs_.count(n)) {
+        error(d.at, "segment '" + name(d.at) + "' already declared");
         continue;
       }
       const auto base = resolve_ref(d.base);
       if (!base) continue;
       if (d.len == 0) {
-        error(d.len_loc, "segment '" + d.name + "' has length 0");
+        error(d.len_at, "segment '" + name(d.at) + "' has length 0");
         continue;
       }
       if (d.len > kMaxVarId) {
-        error(d.len_loc, "segment '" + d.name + "' length overflows 32 bits");
+        error(d.len_at,
+              "segment '" + name(d.at) + "' length overflows 32 bits");
         continue;
       }
       if (*base + d.len > nvars_) {
-        error(d.loc, "segment '" + d.name + "' [v" + std::to_string(*base) +
-                         ", v" + std::to_string(*base + d.len) +
-                         ") exceeds vars=" + std::to_string(nvars_));
+        error(d.at, "segment '" + name(d.at) + "' [v" + std::to_string(*base) +
+                        ", v" + std::to_string(*base + d.len) +
+                        ") exceeds vars=" + std::to_string(nvars_));
         continue;
       }
-      segs_[d.name] = SegInfo{static_cast<std::uint32_t>(*base),
-                              static_cast<std::uint32_t>(d.len)};
+      segs_[n] = SegInfo{static_cast<std::uint32_t>(*base),
+                         static_cast<std::uint32_t>(d.len)};
     }
   }
 
   /// Resolve a reference to a variable index, or nullopt after reporting.
-  std::optional<std::uint64_t> resolve_ref(const Ref& r) {
-    auto it = names_.find(r.name);
+  std::optional<std::uint64_t> resolve_ref(const RefRec& r) {
+    if (r.id != RefRec::kReread && r.id < nvars_) return r.id;
+    Lexer lex(src_, none_, r.at);
+    const std::string_view n = lex.text(lex.next());
+    const bool has_subscript = lex.next().kind == TokKind::kLBracket;
+    const std::uint64_t subscript = has_subscript ? lex.next().value : 0;
+    if (const auto raw = raw_ref_id(n)) {
+      if (has_subscript) {
+        error(r.at, "raw variable reference '" + name(r.at) +
+                        "' cannot take a subscript");
+        return std::nullopt;
+      }
+      if (*raw > kMaxVarId) {
+        error(r.at, "variable id '" + name(r.at) + "' overflows 32 bits");
+        return std::nullopt;
+      }
+      if (*raw >= nvars_) {
+        error(r.at, "variable v" + std::to_string(*raw) +
+                        " out of range (vars=" + std::to_string(nvars_) + ")");
+        return std::nullopt;
+      }
+      return *raw;
+    }
+    const auto it = names_.find(n);
     if (it == names_.end()) {
-      if (!is_raw_ref(r.name)) {
-        error(r.loc, "undefined variable '" + r.name + "'");
-        return std::nullopt;
-      }
-      std::uint64_t raw = 0;
-      bool overflow = false;
-      for (std::size_t i = 1; i < r.name.size(); ++i) {
-        const std::uint64_t d = static_cast<std::uint64_t>(r.name[i] - '0');
-        if (raw > (UINT64_MAX - d) / 10) overflow = true;
-        if (!overflow) raw = raw * 10 + d;
-      }
-      if (r.has_subscript) {
-        error(r.loc, "raw variable reference '" + r.name +
-                         "' cannot take a subscript");
-        return std::nullopt;
-      }
-      if (overflow || raw > kMaxVarId) {
-        error(r.loc, "variable id '" + r.name + "' overflows 32 bits");
-        return std::nullopt;
-      }
-      if (raw >= nvars_) {
-        error(r.loc, "variable v" + std::to_string(raw) +
-                         " out of range (vars=" + std::to_string(nvars_) +
-                         ")");
-        return std::nullopt;
-      }
-      return raw;
+      error(r.at, "undefined variable '" + name(r.at) + "'");
+      return std::nullopt;
     }
     const VarInfo& info = it->second;
-    std::uint64_t idx = info.base;
-    if (r.has_subscript) {
-      if (r.subscript >= info.count) {
-        error(r.loc, "subscript " + std::to_string(r.subscript) +
-                         " out of bounds for '" + r.name + "' (size " +
-                         std::to_string(info.count) + ")");
-        return std::nullopt;
-      }
-      idx += r.subscript;
+    if (subscript >= info.count) {
+      error(r.at, "subscript " + std::to_string(subscript) +
+                      " out of bounds for '" + name(r.at) + "' (size " +
+                      std::to_string(info.count) + ")");
+      return std::nullopt;
     }
-    return idx;
+    return info.base + subscript;
   }
 
   // ---- codegen ---------------------------------------------------------
 
-  /// One resolved lane plus the source it came from (for EREW locations).
-  struct Placed {
-    const LaneSrc* src = nullptr;
-    std::size_t step = 0;
-  };
-
+  /// Writes every lane's instruction into its step, then runs the EREW
+  /// mirror on the step while nothing else has failed.  A step's records
+  /// are freed as soon as it is done.
   std::vector<pram::Step> build_steps() {
-    std::vector<pram::Step> steps(src_.steps.size());
-    placed_.assign(src_.steps.size(), {});
-    for (std::size_t s = 0; s < src_.steps.size(); ++s) {
+    std::vector<pram::Step> steps(p_.steps.size());
+    // placed[t]: 1 + the index of the lane thread t's instruction came
+    // from; 0 = idle.
+    std::vector<std::size_t> placed;
+    for (std::size_t s = 0; s < steps.size(); ++s) {
       steps[s].instrs.assign(static_cast<std::size_t>(procs_),
                              pram::Instr::nop());
-      placed_[s].assign(static_cast<std::size_t>(procs_), nullptr);
-      for (const LaneSrc& lane : src_.steps[s].lanes) {
+      placed.assign(static_cast<std::size_t>(procs_), 0);
+      const std::vector<LaneRec>& lanes = p_.steps[s];
+      for (std::size_t i = 0; i < lanes.size(); ++i) {
+        const LaneRec& lane = lanes[i];
         if (lane.lane >= procs_) {
-          error(lane.lane_loc, "lane " + std::to_string(lane.lane) +
-                                   " out of range (procs=" +
-                                   std::to_string(procs_) + ")");
+          error(lane.lane_at, "lane " + std::to_string(lane.lane) +
+                                  " out of range (procs=" +
+                                  std::to_string(procs_) + ")");
           continue;
         }
-        if (placed_[s][lane.lane] != nullptr) {
-          error(lane.lane_loc, "duplicate lane " + std::to_string(lane.lane) +
-                                   " in step");
+        if (placed[lane.lane] != 0) {
+          error(lane.lane_at, "duplicate lane " + std::to_string(lane.lane) +
+                                  " in step");
           continue;
         }
         const auto ins = lower(lane);
         if (!ins) continue;
         steps[s].instrs[lane.lane] = *ins;
-        placed_[s][lane.lane] = &lane;
+        placed[lane.lane] = i + 1;
       }
+      if (diags_.empty()) check_erew(s, steps[s], lanes, placed);
+      std::vector<LaneRec>().swap(p_.steps[s]);
     }
     return steps;
   }
 
-  std::optional<pram::Instr> lower(const LaneSrc& lane) {
-    using pram::Instr;
+  std::optional<pram::Instr> lower(const LaneRec& lane) {
     using pram::OpCode;
-    auto u32 = [](std::uint64_t v) { return static_cast<std::uint32_t>(v); };
-    switch (lane.op) {
-      case OpCode::kNop:
-        return Instr::nop();
-      case OpCode::kConst: {
-        const auto z = resolve_ref(lane.z);
-        if (!z) return std::nullopt;
-        return Instr::constant(u32(*z), lane.imm);
-      }
-      case OpCode::kRandBelow: {
-        const auto z = resolve_ref(lane.z);
-        if (!z) return std::nullopt;
-        return Instr::rand_below(u32(*z), lane.imm);
-      }
-      case OpCode::kCoin: {
-        const auto z = resolve_ref(lane.z);
-        if (!z) return std::nullopt;
-        // The immediate is the RAW fixed-point success probability
-        // (p * 2^32), not a percentage — this keeps emit/parse lossless.
-        if (lane.imm > (std::uint64_t{1} << 32)) {
-          error(lane.imm_loc,
-                "coin immediate exceeds 2^32 (fixed-point probability)");
-          return std::nullopt;
-        }
-        return pram::Instr{OpCode::kCoin, u32(*z), 0, 0, 0, lane.imm};
-      }
-      case OpCode::kCopy: {
-        const auto z = resolve_ref(lane.z), x = resolve_ref(lane.x);
-        if (!z || !x) return std::nullopt;
-        return Instr::copy(u32(*z), u32(*x));
-      }
-      case OpCode::kSelect: {
-        const auto z = resolve_ref(lane.z), c = resolve_ref(lane.c),
-                   x = resolve_ref(lane.x), y = resolve_ref(lane.y);
-        if (!z || !c || !x || !y) return std::nullopt;
-        return Instr::select(u32(*z), u32(*c), u32(*x), u32(*y));
-      }
-      case OpCode::kGather: {
-        const auto z = resolve_ref(lane.z), x = resolve_ref(lane.x),
-                   y = resolve_ref(lane.y);
-        if (!z || !x || !y) return std::nullopt;
-        if (lane.imm == 0) {
-          error(lane.imm_loc, "gather window length is 0");
-          return std::nullopt;
-        }
-        if (lane.imm > kMaxVarId) {
-          error(lane.imm_loc, "gather window length overflows 32 bits");
-          return std::nullopt;
-        }
-        if (*y + lane.imm > nvars_) {
-          error(lane.y.loc,
-                "gather window [v" + std::to_string(*y) + ", v" +
-                    std::to_string(*y + lane.imm) +
-                    ") exceeds vars=" + std::to_string(nvars_));
-          return std::nullopt;
-        }
-        return Instr::gather(u32(*z), u32(*x), u32(*y), u32(lane.imm));
-      }
-      case OpCode::kGatherDyn: {
-        const auto z = resolve_ref(lane.z), x = resolve_ref(lane.x),
-                   y = resolve_ref(lane.y), c = resolve_ref(lane.c);
-        if (!z || !x || !y || !c) return std::nullopt;
-        auto it = segs_.find(lane.seg_name);
-        if (it == segs_.end()) {
-          error(lane.seg_loc,
-                "undefined segment '" + lane.seg_name + "'");
-          return std::nullopt;
-        }
-        return Instr::gather_dyn(u32(*z), u32(*x), u32(*y), u32(*c),
-                                 it->second.base, it->second.len);
-      }
-      default: {  // two-operand ALU ops
-        const auto z = resolve_ref(lane.z), x = resolve_ref(lane.x),
-                   y = resolve_ref(lane.y);
-        if (!z || !x || !y) return std::nullopt;
-        return pram::Instr{lane.op, u32(*z), u32(*x), u32(*y), 0, 0};
-      }
+    const OpCode op = lane.op;
+    // Resolve the op's operands in the order they are written: z, x, y, c,
+    // but z, cond, x, y for select.
+    static constexpr int kWritten[2][4] = {{0, 1, 2, 3}, {0, 3, 1, 2}};
+    const RefRec* refs[] = {&lane.z, &lane.x, &lane.y, &lane.c};
+    std::uint64_t id[4] = {};  // z, x, y, c
+    const int n =
+        pram::writes_dest(op) + pram::reads_of(op) + pram::reads_window(op);
+    bool ok = true;
+    for (int i = 0; i < n; ++i) {
+      const int k = kWritten[op == OpCode::kSelect][i];
+      const auto v = resolve_ref(*refs[k]);
+      ok = ok && v;
+      id[k] = v.value_or(0);
     }
+    if (!ok) return std::nullopt;
+    auto u32 = [](std::uint64_t v) { return static_cast<std::uint32_t>(v); };
+    pram::Instr ins{op, u32(id[0]), u32(id[1]), u32(id[2]), u32(id[3]),
+                    lane.imm};
+    // The coin immediate is the RAW fixed-point success probability
+    // (p * 2^32), not a percentage — this keeps emit/parse lossless.
+    if (op == OpCode::kCoin && lane.imm > (std::uint64_t{1} << 32)) {
+      error(lane.imm_at,
+            "coin immediate exceeds 2^32 (fixed-point probability)");
+      return std::nullopt;
+    }
+    if (op == OpCode::kGather) {
+      if (lane.imm == 0) {
+        error(lane.imm_at, "gather window length is 0");
+        return std::nullopt;
+      }
+      if (lane.imm > kMaxVarId) {
+        error(lane.imm_at, "gather window length overflows 32 bits");
+        return std::nullopt;
+      }
+      if (id[2] + lane.imm > nvars_) {
+        error(lane.y.at, "gather window [v" + std::to_string(id[2]) + ", v" +
+                             std::to_string(id[2] + lane.imm) +
+                             ") exceeds vars=" + std::to_string(nvars_));
+        return std::nullopt;
+      }
+      return pram::Instr::gather(ins.z, ins.x, ins.y, u32(lane.imm));
+    }
+    if (op == OpCode::kGatherDyn) {
+      const auto it = segs_.find(spelled(lane.imm_at));
+      if (it == segs_.end()) {
+        error(lane.imm_at, "undefined segment '" + name(lane.imm_at) + "'");
+        return std::nullopt;
+      }
+      return pram::Instr::gather_dyn(ins.z, ins.x, ins.y, ins.c,
+                                     it->second.base, it->second.len);
+    }
+    return ins;
   }
 
   // ---- EREW (source-located mirror of Program::validate_erew) ----------
 
-  void check_erew(const std::vector<pram::Step>& steps) {
-    std::vector<std::uint32_t> reads(nvars_, 0), writes(nvars_, 0);
-    for (std::size_t s = 0; s < steps.size(); ++s) {
-      const std::uint32_t epoch = static_cast<std::uint32_t>(s) + 1;
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> step_segs;
-      struct Write { std::uint32_t var; const LaneSrc* lane; };
-      std::vector<Write> written;
-      for (std::size_t t = 0; t < steps[s].instrs.size(); ++t) {
-        const pram::Instr& ins = steps[s].instrs[t];
-        const LaneSrc* lane = placed_[s][t];
-        if (lane == nullptr) continue;  // implicit nop
-        const int r = pram::reads_of(ins.op);
-        if (r >= 1) mark_read(reads, epoch, ins.x, lane->x.loc);
-        if (r >= 2 && ins.op != pram::OpCode::kGather)
-          mark_read(reads, epoch, ins.y, lane->y.loc);
-        if (r >= 3) mark_read(reads, epoch, ins.c, lane->c.loc);
-        if (pram::reads_window(ins.op)) {
-          // The whole declared window counts as read (the executed index is
-          // data-dependent), so overlap with any other read is a conflict.
-          for (std::uint32_t v = ins.y; v < ins.y + ins.c; ++v)
-            mark_read(reads, epoch, v, lane->y.loc);
-        }
-        if (pram::reads_dyn_window(ins.op)) {
-          const auto seg = std::make_pair(pram::dyn_seg_base(ins),
-                                          pram::dyn_seg_len(ins));
-          if (std::find(step_segs.begin(), step_segs.end(), seg) ==
-              step_segs.end())
-            step_segs.push_back(seg);
-        }
-        if (pram::writes_dest(ins.op)) {
-          if (writes[ins.z] == epoch) {
-            error(lane->z.loc, "EREW violation: variable v" +
-                                   std::to_string(ins.z) +
-                                   " written by more than one thread in this "
-                                   "step");
-          } else {
-            writes[ins.z] = epoch;
-          }
-          written.push_back({ins.z, lane});
-        }
-      }
-      // Segment cells must stay frozen while any gather_dyn of this step
-      // may read them.
-      for (const auto& [base, len] : step_segs)
-        for (const Write& w : written)
-          if (w.var >= base && w.var - base < len)
-            error(w.lane->z.loc,
-                  "variable v" + std::to_string(w.var) +
-                      " written inside gather_dyn segment [v" +
-                      std::to_string(base) + ", v" +
-                      std::to_string(static_cast<std::uint64_t>(base) + len) +
-                      ")");
+  void check_erew(std::size_t s, const pram::Step& step,
+                  const std::vector<LaneRec>& lanes,
+                  const std::vector<std::size_t>& placed) {
+    if (reads_.empty()) {
+      reads_.assign(static_cast<std::size_t>(nvars_), 0);
+      writes_.assign(static_cast<std::size_t>(nvars_), 0);
     }
+    const std::uint32_t epoch = static_cast<std::uint32_t>(s) + 1;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> step_segs;
+    struct Write { std::uint32_t var; const LaneRec* lane; };
+    std::vector<Write> written;
+    for (std::size_t t = 0; t < step.instrs.size(); ++t) {
+      if (placed[t] == 0) continue;  // implicit nop
+      const pram::Instr& ins = step.instrs[t];
+      const LaneRec& lane = lanes[placed[t] - 1];
+      const int r = pram::reads_of(ins.op);
+      if (r >= 1) mark_read(epoch, ins.x, lane.x.at);
+      if (r >= 2 && ins.op != pram::OpCode::kGather)
+        mark_read(epoch, ins.y, lane.y.at);
+      if (r >= 3) mark_read(epoch, ins.c, lane.c.at);
+      if (pram::reads_window(ins.op)) {
+        // The whole declared window counts as read (the executed index is
+        // data-dependent), so overlap with any other read is a conflict.
+        for (std::uint32_t v = ins.y; v < ins.y + ins.c; ++v)
+          mark_read(epoch, v, lane.y.at);
+      }
+      if (pram::reads_dyn_window(ins.op)) {
+        const auto seg = std::make_pair(pram::dyn_seg_base(ins),
+                                        pram::dyn_seg_len(ins));
+        if (std::find(step_segs.begin(), step_segs.end(), seg) ==
+            step_segs.end())
+          step_segs.push_back(seg);
+      }
+      if (pram::writes_dest(ins.op)) {
+        if (writes_[ins.z] == epoch) {
+          report(erew_diags_, lane.z.at,
+                 "EREW violation: variable v" + std::to_string(ins.z) +
+                     " written by more than one thread in this step");
+        } else {
+          writes_[ins.z] = epoch;
+        }
+        written.push_back({ins.z, &lane});
+      }
+    }
+    // Segment cells must stay frozen while any gather_dyn of this step
+    // may read them.
+    for (const auto& [base, len] : step_segs)
+      for (const Write& w : written)
+        if (w.var >= base && w.var - base < len)
+          report(erew_diags_, w.lane->z.at,
+                 "variable v" + std::to_string(w.var) +
+                     " written inside gather_dyn segment [v" +
+                     std::to_string(base) + ", v" +
+                     std::to_string(static_cast<std::uint64_t>(base) + len) +
+                     ")");
   }
 
-  void mark_read(std::vector<std::uint32_t>& reads, std::uint32_t epoch,
-                 std::uint32_t var, const Loc& loc) {
-    if (reads[var] == epoch) {
-      error(loc, "EREW violation: variable v" + std::to_string(var) +
-                     " read by more than one thread in this step");
+  void mark_read(std::uint32_t epoch, std::uint32_t var, std::size_t at) {
+    if (reads_[var] == epoch) {
+      report(erew_diags_, at,
+             "EREW violation: variable v" + std::to_string(var) +
+                 " read by more than one thread in this step");
       return;
     }
-    reads[var] = epoch;
+    reads_[var] = epoch;
   }
 
-  const ProgramSrc& src_;
+  const SourceFile& src_;
+  ParsedProgram& p_;
   std::vector<Diagnostic>& diags_;
+  std::vector<Diagnostic> erew_diags_;
+  std::vector<Diagnostic> none_;
+  Loc last_;  ///< The latest diagnostic's location.
   std::uint64_t procs_ = 0;
   std::uint64_t nvars_ = 0;
-  std::unordered_map<std::string, VarInfo> names_;
-  std::unordered_map<std::string, SegInfo> segs_;
-  std::vector<std::vector<const LaneSrc*>> placed_;  ///< [step][thread]
+  std::unordered_map<std::string_view, VarInfo> names_;
+  std::unordered_map<std::string_view, SegInfo> segs_;
+  std::vector<std::uint32_t> reads_, writes_;  ///< Epoch of the last use.
 };
 
 }  // namespace
 
 CompileResult compile_source(const SourceFile& src) {
   CompileResult result;
-  const std::vector<Token> toks = lex(src, result.diagnostics);
-  if (!result.diagnostics.empty()) return result;
-  const auto tree = parse(toks, result.diagnostics);
-  if (!tree) return result;
-  Analyzer analyzer(*tree, result.diagnostics);
-  result.program = analyzer.run();
+  auto parsed = parse(src, result.diagnostics);
+  if (parsed)
+    result.program = Analyzer(src, *parsed, result.diagnostics).run();
   return result;
 }
 
 CompileResult compile_file(const std::string& path, SourceFile& out_src) {
-  out_src.name = path;
-  out_src.text.clear();
+  out_src = SourceFile{path, {}};
   std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    CompileResult result;
-    result.diagnostics.push_back({Loc{}, "cannot open '" + path + "'"});
-    return result;
+  if (!in) return {{}, {{Loc{}, "cannot open '" + path + "'"}}};
+  // One read into a buffer sized from the file, a byte over so the read
+  // meets end of file; a pipe, whose size is unknown, grows it.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::string& text = out_src.text;
+  text.resize(ec ? 4096 : static_cast<std::size_t>(size) + 1);
+  std::size_t got = 0;
+  while (in.read(&text[got], static_cast<std::streamsize>(text.size() - got)))
+    text.resize(2 * (got = text.size()));
+  text.resize(got + static_cast<std::size_t>(in.gcount()));
+  if (in.bad()) {
+    text.clear();
+    return {{}, {{Loc{}, "cannot read '" + path + "'"}}};
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  out_src.text = buf.str();
   return compile_source(out_src);
 }
 

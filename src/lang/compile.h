@@ -1,9 +1,10 @@
-// Semantic analysis + codegen: ProgramSrc -> validated pram::Program.
+// Semantic analysis + codegen: lane records -> validated pram::Program.
 //
-// Every rule pram::Program::validate_erew enforces at construction time is
-// re-checked here FIRST, against the source tree, so violations surface as
-// file:line:col diagnostics with a caret instead of std::invalid_argument
-// throws.  The mapping:
+// One pass writes each lane's pram::Instr into the final steps, and every
+// rule pram::Program::validate_erew enforces at construction time is
+// re-checked there FIRST, located by the records' source offsets, so
+// violations surface as file:line:col diagnostics with a caret instead of
+// std::invalid_argument throws.  The mapping:
 //
 //   validate_erew rule                      diagnostic (anchored at)
 //   -----------------------------------    --------------------------------
@@ -24,6 +25,9 @@
 // segment names, subscripts out of a named array's bounds, variable ids
 // overflowing 32 bits (Instr stores uint32_t), lane indices out of range
 // or duplicated, missing/zero `procs`/`vars`.
+//
+// Semantic errors are batched: layout, segments, then lanes in file order;
+// EREW conflicts (by step, then thread) only when all of those passed.
 //
 // Compilation succeeds only when the diagnostic list is empty; the
 // returned Program has already passed its own constructor validation, so
@@ -50,9 +54,9 @@ struct CompileResult {
 /// Lex + parse + analyze + build in one call.
 CompileResult compile_source(const SourceFile& src);
 
-/// Convenience: read `path` from disk and compile it.  A missing/unreadable
-/// file becomes a diagnostic at 1:1.  `out_src` receives the loaded source
-/// so callers can render diagnostics.
+/// Convenience: read `path` from disk and compile it.  A path that does not
+/// open or read (a directory) becomes a diagnostic at 1:1.  `out_src`
+/// receives the loaded source so callers can render diagnostics.
 CompileResult compile_file(const std::string& path, SourceFile& out_src);
 
 }  // namespace apex::lang

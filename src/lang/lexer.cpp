@@ -30,62 +30,35 @@ bool is_digit(char c) { return c >= '0' && c <= '9'; }
 
 }  // namespace
 
-std::vector<Token> lex(const SourceFile& src,
-                       std::vector<Diagnostic>& diags) {
-  std::vector<Token> toks;
-  const std::string& s = src.text;
-  Loc loc;  // line 1, col 1, offset 0
-  auto advance = [&](std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (s[loc.offset] == '\n') {
-        ++loc.line;
-        loc.col = 1;
-      } else {
-        ++loc.col;
-      }
-      ++loc.offset;
-    }
-  };
-  while (loc.offset < s.size()) {
-    const char c = s[loc.offset];
+Token Lexer::next() {
+  const std::string& s = src_.text;
+  while (!failed_ && pos_ < s.size()) {
+    const std::size_t start = pos_;
+    const char c = s[pos_];
     if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-      advance(1);
+      ++pos_;
       continue;
     }
     if (c == '#') {
-      while (loc.offset < s.size() && s[loc.offset] != '\n') advance(1);
+      while (pos_ < s.size() && s[pos_] != '\n') ++pos_;
       continue;
     }
-    const Loc start = loc;
     if (is_ident_start(c)) {
-      std::size_t end = loc.offset;
-      while (end < s.size() && is_ident_char(s[end])) ++end;
-      Token t{TokKind::kIdent, start, s.substr(loc.offset, end - loc.offset)};
-      advance(end - loc.offset);
-      toks.push_back(std::move(t));
-      continue;
+      while (++pos_ < s.size() && is_ident_char(s[pos_])) {}
+      return {TokKind::kIdent, start, pos_ - start};
     }
     if (is_digit(c)) {
-      std::size_t end = loc.offset;
       std::uint64_t v = 0;
       bool overflow = false;
-      while (end < s.size() && is_digit(s[end])) {
-        const std::uint64_t d = static_cast<std::uint64_t>(s[end] - '0');
+      for (; pos_ < s.size() && is_digit(s[pos_]); ++pos_) {
+        const std::uint64_t d = static_cast<std::uint64_t>(s[pos_] - '0');
         if (v > (UINT64_MAX - d) / 10) overflow = true;
         if (!overflow) v = v * 10 + d;
-        ++end;
       }
-      if (overflow) {
-        diags.push_back({start, "integer literal '" +
-                                    s.substr(loc.offset, end - loc.offset) +
-                                    "' does not fit in 64 bits"});
-        break;
-      }
-      Token t{TokKind::kInt, start,
-              s.substr(loc.offset, end - loc.offset), v};
-      advance(end - loc.offset);
-      toks.push_back(std::move(t));
-      continue;
+      if (!overflow) return {TokKind::kInt, start, pos_ - start, v};
+      fail(start, "integer literal '" + s.substr(start, pos_ - start) +
+                      "' does not fit in 64 bits");
+      break;
     }
     TokKind k;
     switch (c) {
@@ -97,20 +70,19 @@ std::vector<Token> lex(const SourceFile& src,
       case ':': k = TokKind::kColon; break;
       case '=': k = TokKind::kEq; break;
       default:
-        diags.push_back({start, std::string("unexpected character '") + c +
-                                    "'"});
-        Token end_tok;
-        end_tok.loc = loc;
-        toks.push_back(end_tok);
-        return toks;
+        fail(start, std::string("unexpected character '") + c + "'");
+        continue;
     }
-    toks.push_back({k, start, std::string(1, c)});
-    advance(1);
+    ++pos_;
+    return {k, start, 1};
   }
-  Token end_tok;
-  end_tok.loc = loc;
-  toks.push_back(end_tok);
-  return toks;
+  return {TokKind::kEnd, pos_};
+}
+
+void Lexer::fail(std::size_t at, std::string message) {
+  diags_.push_back({src_.loc_at(at), std::move(message)});
+  failed_ = true;
+  pos_ = at;
 }
 
 }  // namespace apex::lang

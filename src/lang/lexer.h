@@ -1,14 +1,17 @@
-// Tokenizer for the .pram kernel language.
+// Pull tokenizer for the .pram kernel language.
 //
 // The language is whitespace- and newline-insensitive; `#` starts a
 // comment that runs to end of line.  Identifiers are [A-Za-z_][A-Za-z0-9_]*
 // (keywords are ordinary identifiers resolved by the parser); integer
 // literals are strict decimal digits — no sign, no leading whitespace
 // baked into the token, no hex.  Punctuation: { } [ ] , : =
+//
+// A token is a view into SourceFile::text: kind, offset, length and an
+// integer's value.  The lexer hands out one per next() and keeps none.
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "lang/source.h"
@@ -32,15 +35,38 @@ const char* tok_kind_name(TokKind k) noexcept;
 
 struct Token {
   TokKind kind = TokKind::kEnd;
-  Loc loc;
-  std::string text;          ///< Identifier spelling / literal spelling.
+  std::size_t offset = 0;    ///< Where the spelling starts in the source.
+  std::size_t length = 0;    ///< Spelling length in bytes (0 for kEnd).
   std::uint64_t value = 0;   ///< For kInt.
 };
 
-/// Tokenize the whole file.  On a lexical error (stray character, integer
-/// overflowing 64 bits) a diagnostic is appended and lexing stops; the
-/// token stream always ends with a kEnd token.
-std::vector<Token> lex(const SourceFile& src,
-                       std::vector<Diagnostic>& diags);
+class Lexer {
+ public:
+  /// Lexes `src` from byte `from`.  `src` must outlive the lexer and the
+  /// tokens it hands out.
+  Lexer(const SourceFile& src, std::vector<Diagnostic>& diags,
+        std::size_t from = 0)
+      : src_(src), diags_(diags), pos_(from) {}
+
+  /// The next token; kEnd at the end of input and from a lexical error (a
+  /// stray character, an integer over 64 bits, reported once) on.
+  Token next();
+
+  /// True once a lexical error has been reported.
+  bool failed() const { return failed_; }
+
+  /// The token's spelling, a view into the source text.
+  std::string_view text(const Token& t) const {
+    return std::string_view(src_.text).substr(t.offset, t.length);
+  }
+
+ private:
+  void fail(std::size_t at, std::string message);
+
+  const SourceFile& src_;
+  std::vector<Diagnostic>& diags_;
+  std::size_t pos_;
+  bool failed_ = false;
+};
 
 }  // namespace apex::lang

@@ -1,168 +1,161 @@
 #include "lang/parser.h"
 
+#include <algorithm>
+#include <array>
+#include <limits>
+#include <string>
+
+#include "lang/lexer.h"
+
 namespace apex::lang {
 
-namespace {
-
-/// Opcode keywords that introduce an instruction, in OpCode order; the
-/// spellings are exactly pram::opcode_name so emitted programs are
-/// self-describing.
-std::optional<pram::OpCode> opcode_from_keyword(const std::string& kw) {
+std::optional<pram::OpCode> opcode_from_keyword(std::string_view kw) {
   using pram::OpCode;
-  static constexpr OpCode kAll[] = {
-      OpCode::kNop,    OpCode::kConst, OpCode::kCopy,      OpCode::kAdd,
-      OpCode::kSub,    OpCode::kMul,   OpCode::kMin,       OpCode::kMax,
-      OpCode::kXor,    OpCode::kAnd,   OpCode::kOr,        OpCode::kLess,
-      OpCode::kEq,     OpCode::kSelect, OpCode::kRandBelow, OpCode::kCoin,
-      OpCode::kGather, OpCode::kGatherDyn};
-  for (OpCode op : kAll)
-    if (kw == pram::opcode_name(op)) return op;
+  constexpr int kOps = static_cast<int>(OpCode::kGatherDyn) + 1;
+  static const auto kNames = [] {
+    std::array<std::string_view, kOps> names;
+    for (int i = 0; i < kOps; ++i)
+      names[i] = pram::opcode_name(static_cast<OpCode>(i));
+    return names;
+  }();
+  for (int i = 0; i < kOps; ++i)
+    if (kw == kNames[i]) return static_cast<OpCode>(i);
   return std::nullopt;
 }
 
+std::optional<std::uint64_t> raw_ref_id(std::string_view name) {
+  constexpr std::uint64_t kCap = std::uint64_t{1} << 32;
+  if (name.size() < 2 || name[0] != 'v') return std::nullopt;
+  std::uint64_t id = 0;
+  for (const char ch : name.substr(1)) {
+    if (ch < '0' || ch > '9') return std::nullopt;
+    if (id < kCap)
+      id = std::min(id * 10 + static_cast<std::uint64_t>(ch - '0'), kCap);
+  }
+  return id;
+}
+
+namespace {
+
 class Parser {
  public:
-  Parser(const std::vector<Token>& toks, std::vector<Diagnostic>& diags)
-      : toks_(toks), diags_(diags) {}
+  Parser(const SourceFile& src, std::vector<Diagnostic>& diags)
+      : src_(src), diags_(diags), lex_(src, diags), cur_(lex_.next()) {}
 
-  std::optional<ProgramSrc> run() {
-    ProgramSrc p;
-    if (!expect_keyword("pram")) return std::nullopt;
-    const Token* name = expect(TokKind::kIdent, "program name");
-    if (!name) return std::nullopt;
-    p.name = name->text;
-    p.name_loc = name->loc;
-    while (!at(TokKind::kEnd)) {
-      if (!parse_item(p)) return std::nullopt;
+  std::optional<ParsedProgram> run() {
+    ParsedProgram p;
+    if (!at(TokKind::kIdent) || lex_.text(cur_) != "pram") {
+      fail("expected 'pram', found " + describe(cur_));
+      return std::nullopt;
     }
+    advance();
+    if (!expect(TokKind::kIdent, "program name", &p.name_at))
+      return std::nullopt;
+    while (!at(TokKind::kEnd))
+      if (!parse_item(p)) return std::nullopt;
+    if (lex_.failed()) return std::nullopt;
     return p;
   }
 
  private:
-  const Token& cur() const { return toks_[pos_]; }
-  bool at(TokKind k) const { return cur().kind == k; }
-  const Token& take() { return toks_[pos_++]; }
+  bool at(TokKind k) const { return cur_.kind == k; }
+  void advance() { cur_ = lex_.next(); }
 
-  void error_here(const std::string& msg) {
-    diags_.push_back({cur().loc, msg});
+  /// Reports a syntax error at the current token.  A lexical error
+  /// anywhere in the file takes precedence, so this lexes to the end first.
+  bool fail(const std::string& msg) {
+    const std::size_t where = cur_.offset;
+    while (!at(TokKind::kEnd)) advance();
+    if (!lex_.failed()) diags_.push_back({src_.loc_at(where), msg});
+    return false;
   }
 
-  const Token* expect(TokKind k, const char* what) {
-    if (!at(k)) {
-      error_here(std::string("expected ") + what + ", found " +
-                 describe(cur()));
-      return nullptr;
-    }
-    return &take();
-  }
-
-  bool expect_keyword(const char* kw) {
-    if (!at(TokKind::kIdent) || cur().text != kw) {
-      error_here(std::string("expected '") + kw + "', found " +
-                 describe(cur()));
-      return false;
-    }
-    take();
+  /// Consumes a token of kind `k`, or reports it missing.  `where` gets
+  /// its offset and `value` an integer's value.
+  bool expect(TokKind k, const char* what, std::uint32_t* where = nullptr,
+              std::uint64_t* value = nullptr) {
+    if (!at(k))
+      return fail(std::string("expected ") + what + ", found " +
+                  describe(cur_));
+    if (where) *where = static_cast<std::uint32_t>(cur_.offset);
+    if (value) *value = cur_.value;
+    advance();
     return true;
   }
 
-  static std::string describe(const Token& t) {
+  std::string describe(const Token& t) const {
     switch (t.kind) {
-      case TokKind::kIdent: return "'" + t.text + "'";
-      case TokKind::kInt: return "'" + t.text + "'";
-      case TokKind::kEnd: return "end of input";
+      case TokKind::kIdent:
+      case TokKind::kInt:
+        return std::string(1, '\'').append(lex_.text(t)) + "'";
       default: return tok_kind_name(t.kind);
     }
   }
 
-  bool parse_item(ProgramSrc& p) {
-    if (!at(TokKind::kIdent)) {
-      error_here("expected a declaration or 'step', found " + describe(cur()));
-      return false;
-    }
-    const std::string& kw = cur().text;
-    if (kw == "procs") {
-      p.procs_loc = take().loc;
-      const Token* n = expect(TokKind::kInt, "processor count");
-      if (!n) return false;
-      p.procs = n->value;
-      return true;
-    }
-    if (kw == "vars") {
-      p.vars_loc = take().loc;
-      const Token* n = expect(TokKind::kInt, "variable count");
-      if (!n) return false;
-      p.vars = n->value;
+  bool parse_item(ParsedProgram& p) {
+    const std::string_view kw =
+        at(TokKind::kIdent) ? lex_.text(cur_) : std::string_view();
+    const auto kw_at = static_cast<std::uint32_t>(cur_.offset);
+    if (kw == "procs" || kw == "vars") {
+      const bool procs = kw == "procs";
+      advance();
+      std::uint64_t n = 0;
+      if (!expect(TokKind::kInt, procs ? "processor count" : "variable count",
+                  nullptr, &n))
+        return false;
+      (procs ? p.procs : p.vars) = n;
+      (procs ? p.procs_at : p.vars_at) = kw_at;
       return true;
     }
     if (kw == "var") {
-      take();
-      const Token* name = expect(TokKind::kIdent, "variable name");
-      if (!name) return false;
-      VarDeclSrc d{name->loc, name->text, 1};
+      advance();
+      VarDeclRec d;
+      if (!expect(TokKind::kIdent, "variable name", &d.at)) return false;
       if (at(TokKind::kLBracket)) {
-        take();
-        const Token* cnt = expect(TokKind::kInt, "array size");
-        if (!cnt) return false;
-        d.count = cnt->value;
-        if (!expect(TokKind::kRBracket, "']'")) return false;
+        advance();
+        if (!expect(TokKind::kInt, "array size", nullptr, &d.count) ||
+            !expect(TokKind::kRBracket, "']'"))
+          return false;
       }
-      p.var_decls.push_back(std::move(d));
+      p.var_decls.push_back(d);
       return true;
     }
     if (kw == "segment") {
-      take();
-      const Token* name = expect(TokKind::kIdent, "segment name");
-      if (!name) return false;
-      SegDeclSrc d;
-      d.loc = name->loc;
-      d.name = name->text;
-      if (!expect(TokKind::kEq, "'='")) return false;
-      if (!parse_ref(d.base)) return false;
-      if (!expect(TokKind::kColon, "':'")) return false;
-      const Token* len = expect(TokKind::kInt, "segment length");
-      if (!len) return false;
-      d.len = len->value;
-      d.len_loc = len->loc;
-      p.seg_decls.push_back(std::move(d));
+      advance();
+      SegDeclRec d;
+      if (!expect(TokKind::kIdent, "segment name", &d.at) ||
+          !expect(TokKind::kEq, "'='") || !parse_ref(d.base) ||
+          !expect(TokKind::kColon, "':'") ||
+          !expect(TokKind::kInt, "segment length", &d.len_at, &d.len))
+        return false;
+      p.seg_decls.push_back(d);
       return true;
     }
     if (kw == "step") {
-      StepSrc st;
-      st.loc = take().loc;
+      advance();
       if (!expect(TokKind::kLBrace, "'{'")) return false;
+      std::vector<LaneRec>& lanes = p.steps.emplace_back();
       while (!at(TokKind::kRBrace)) {
-        LaneSrc lane;
-        if (!parse_lane(lane)) return false;
-        st.lanes.push_back(std::move(lane));
+        if (!parse_lane(lanes.emplace_back())) return false;
       }
-      take();  // '}'
-      p.steps.push_back(std::move(st));
+      advance();  // '}'
       return true;
     }
-    error_here("expected a declaration or 'step', found " + describe(cur()));
-    return false;
+    return fail("expected a declaration or 'step', found " + describe(cur_));
   }
 
-  bool parse_lane(LaneSrc& lane) {
-    const Token* t = expect(TokKind::kInt, "lane index");
-    if (!t) return false;
-    lane.lane = t->value;
-    lane.lane_loc = t->loc;
-    if (!expect(TokKind::kColon, "':'")) return false;
-    if (!at(TokKind::kIdent)) {
-      error_here("expected an instruction, found " + describe(cur()));
+  bool parse_lane(LaneRec& lane) {
+    if (!expect(TokKind::kInt, "lane index", &lane.lane_at, &lane.lane) ||
+        !expect(TokKind::kColon, "':'"))
       return false;
-    }
-    const Token& op_tok = take();
-    const auto op = opcode_from_keyword(op_tok.text);
-    if (!op) {
-      diags_.push_back({op_tok.loc,
-                        "unknown instruction '" + op_tok.text + "'"});
-      return false;
-    }
+    if (!at(TokKind::kIdent))
+      return fail("expected an instruction, found " + describe(cur_));
+    const auto op = opcode_from_keyword(lex_.text(cur_));
+    if (!op)
+      return fail("unknown instruction '" + std::string(lex_.text(cur_)) +
+                  "'");
+    advance();
     lane.op = *op;
-    lane.op_loc = op_tok.loc;
     using pram::OpCode;
     switch (*op) {
       case OpCode::kNop:
@@ -180,58 +173,51 @@ class Parser {
       case OpCode::kGather:
         return parse_ref(lane.z) && comma() && parse_ref(lane.x) && comma() &&
                parse_ref(lane.y) && comma() && parse_imm(lane);
-      case OpCode::kGatherDyn: {
-        if (!(parse_ref(lane.z) && comma() && parse_ref(lane.x) && comma() &&
-              parse_ref(lane.y) && comma() && parse_ref(lane.c) && comma()))
-          return false;
-        const Token* seg = expect(TokKind::kIdent, "segment name");
-        if (!seg) return false;
-        lane.seg_name = seg->text;
-        lane.seg_loc = seg->loc;
-        return true;
-      }
+      case OpCode::kGatherDyn:
+        return parse_ref(lane.z) && comma() && parse_ref(lane.x) && comma() &&
+               parse_ref(lane.y) && comma() && parse_ref(lane.c) && comma() &&
+               expect(TokKind::kIdent, "segment name", &lane.imm_at);
       default:  // two-operand ALU ops
         return parse_ref(lane.z) && comma() && parse_ref(lane.x) && comma() &&
                parse_ref(lane.y);
     }
   }
 
-  bool comma() { return expect(TokKind::kComma, "','") != nullptr; }
+  bool comma() { return expect(TokKind::kComma, "','"); }
 
-  bool parse_imm(LaneSrc& lane) {
-    const Token* t = expect(TokKind::kInt, "an integer immediate");
-    if (!t) return false;
-    lane.imm = t->value;
-    lane.imm_loc = t->loc;
-    return true;
+  bool parse_imm(LaneRec& lane) {
+    return expect(TokKind::kInt, "an integer immediate", &lane.imm_at,
+                  &lane.imm);
   }
 
-  bool parse_ref(Ref& r) {
-    const Token* name = expect(TokKind::kIdent, "a variable reference");
-    if (!name) return false;
-    r.loc = name->loc;
-    r.name = name->text;
-    if (at(TokKind::kLBracket)) {
-      take();
-      const Token* idx = expect(TokKind::kInt, "a subscript");
-      if (!idx) return false;
-      r.has_subscript = true;
-      r.subscript = idx->value;
-      if (!expect(TokKind::kRBracket, "']'")) return false;
-    }
-    return true;
+  bool parse_ref(RefRec& r) {
+    const std::string_view name = lex_.text(cur_);
+    if (!expect(TokKind::kIdent, "a variable reference", &r.at)) return false;
+    const auto raw = raw_ref_id(name);
+    if (raw && *raw < RefRec::kReread) r.id = static_cast<std::uint32_t>(*raw);
+    if (!at(TokKind::kLBracket)) return true;
+    r.id = RefRec::kReread;
+    advance();
+    return expect(TokKind::kInt, "a subscript") &&
+           expect(TokKind::kRBracket, "']'");
   }
 
-  const std::vector<Token>& toks_;
+  const SourceFile& src_;
   std::vector<Diagnostic>& diags_;
-  std::size_t pos_ = 0;
+  Lexer lex_;
+  Token cur_;
 };
 
 }  // namespace
 
-std::optional<ProgramSrc> parse(const std::vector<Token>& toks,
-                                std::vector<Diagnostic>& diags) {
-  return Parser(toks, diags).run();
+std::optional<ParsedProgram> parse(const SourceFile& src,
+                                   std::vector<Diagnostic>& diags) {
+  // Records hold 32-bit source offsets.
+  if (src.text.size() > std::numeric_limits<std::uint32_t>::max()) {
+    diags.push_back({Loc{}, "source file exceeds 4 GiB"});
+    return std::nullopt;
+  }
+  return Parser(src, diags).run();
 }
 
 }  // namespace apex::lang

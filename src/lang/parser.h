@@ -29,77 +29,79 @@
 // produces, so machine-generated kernels need no declarations.  Declared
 // names may not collide with keywords or the raw `v<digits>` pattern.
 //
-// The parser produces a faithful source-level tree (every operand keeps
-// its Loc); all semantic rules live in compile.h.
+// The parser pulls tokens from a Lexer and keeps no strings.  Each
+// `lane: instr` becomes one fixed-size LaneRec: integers decoded (raw refs
+// included), names kept as the byte offset where they are spelled.  A
+// declaration may follow the steps that use it, so names are resolved by
+// the compiler, which also owns every semantic rule (compile.h).
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <vector>
 
-#include "lang/lexer.h"
 #include "lang/source.h"
 #include "pram/ir.h"
 
 namespace apex::lang {
 
-/// A variable reference as written: name plus optional [index] subscript.
-struct Ref {
-  Loc loc;
-  std::string name;
-  bool has_subscript = false;
-  std::uint64_t subscript = 0;
+/// A variable reference: where its name is spelled and, in the form the
+/// emitter writes (a raw v<digits> with no subscript), the decoded id.
+/// Any other ref (a named one, a subscript, an id of 32 bits or more) is
+/// kReread: the compiler reads it back from the source once every
+/// declaration is known.
+struct RefRec {
+  static constexpr std::uint32_t kReread = 0xFFFFFFFF;
+  std::uint32_t at = 0;
+  std::uint32_t id = kReread;
 };
 
 /// One `lane: instr` entry inside a step.
-struct LaneSrc {
-  Loc lane_loc;
+struct LaneRec {
+  RefRec z, x, y, c;          ///< Used according to the op's arity.
   std::uint64_t lane = 0;
-  Loc op_loc;
+  std::uint64_t imm = 0;      ///< const/rand_below/coin imm, gather window len.
+  std::uint32_t lane_at = 0;
+  std::uint32_t imm_at = 0;   ///< The imm, or gather_dyn's segment name.
   pram::OpCode op = pram::OpCode::kNop;
-  Ref z, x, y, c;            ///< Used according to the op's arity.
-  std::uint64_t imm = 0;     ///< const/rand_below/coin imm, gather window len.
-  Loc imm_loc;
-  std::string seg_name;      ///< gather_dyn segment reference.
-  Loc seg_loc;
+};
+static_assert(sizeof(LaneRec) <= 64, "one cache line per lane");
+
+struct VarDeclRec {
+  std::uint32_t at = 0;       ///< The name.
+  std::uint64_t count = 1;    ///< Array size (1 for scalars).
 };
 
-struct StepSrc {
-  Loc loc;
-  std::vector<LaneSrc> lanes;
-};
-
-struct VarDeclSrc {
-  Loc loc;
-  std::string name;
-  std::uint64_t count = 1;   ///< Array size (1 for scalars).
-};
-
-struct SegDeclSrc {
-  Loc loc;
-  std::string name;
-  Ref base;
+struct SegDeclRec {
+  std::uint32_t at = 0;       ///< The name.
+  RefRec base;
   std::uint64_t len = 0;
-  Loc len_loc;
+  std::uint32_t len_at = 0;
 };
 
-struct ProgramSrc {
-  std::string name;
-  Loc name_loc;
+struct ParsedProgram {
+  std::uint32_t name_at = 0;
   std::optional<std::uint64_t> procs;
-  Loc procs_loc;
+  std::uint32_t procs_at = 0;
   std::optional<std::uint64_t> vars;  ///< Declared total variable count.
-  Loc vars_loc;
-  std::vector<VarDeclSrc> var_decls;
-  std::vector<SegDeclSrc> seg_decls;
-  std::vector<StepSrc> steps;
+  std::uint32_t vars_at = 0;
+  std::vector<VarDeclRec> var_decls;
+  std::vector<SegDeclRec> seg_decls;
+  std::vector<std::vector<LaneRec>> steps;  ///< Each step's lanes, in order.
 };
 
-/// Parse the token stream.  Returns nullopt when a parse error was
-/// appended to `diags` (parsing stops at the first syntax error; semantic
-/// errors are batched later by the compiler).
-std::optional<ProgramSrc> parse(const std::vector<Token>& toks,
-                                std::vector<Diagnostic>& diags);
+/// The opcode a keyword spells (exactly pram::opcode_name), if any.
+std::optional<pram::OpCode> opcode_from_keyword(std::string_view kw);
+
+/// The id of a raw ref `v<digits>` (capped at 2^32), or nullopt when
+/// `name` is not one.
+std::optional<std::uint64_t> raw_ref_id(std::string_view name);
+
+/// Lex and parse `src`.  Returns nullopt when an error was appended to
+/// `diags`: a lexical error anywhere in the file if there is one, else the
+/// first syntax error (semantic errors are batched later by the compiler).
+std::optional<ParsedProgram> parse(const SourceFile& src,
+                                   std::vector<Diagnostic>& diags);
 
 }  // namespace apex::lang

@@ -1,8 +1,22 @@
 #include "lang/source.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace apex::lang {
+
+Loc SourceFile::loc_at(std::size_t offset, const Loc& from) const {
+  offset = std::min(offset, text.size());
+  const char* t = text.data();
+  std::size_t line = from.line;
+  if (offset >= from.offset)
+    line += std::count(t + from.offset, t + offset, '\n');
+  else
+    line -= std::count(t + offset, t + from.offset, '\n');
+  std::size_t begin = offset;
+  while (begin > 0 && t[begin - 1] != '\n') --begin;
+  return {line, offset - begin + 1, offset};
+}
 
 std::string SourceFile::line_at(const Loc& loc) const {
   std::size_t begin = loc.offset > text.size() ? text.size() : loc.offset;

@@ -1,8 +1,9 @@
 // Source text, locations, and compiler diagnostics for the PRAM kernel
 // language (src/lang/).
 //
-// Every token the lexer produces carries a Loc; every semantic error the
-// compiler reports anchors to one.  Diagnostics render in the classic
+// Tokens and parsed records carry byte offsets only.  A Diagnostic turns
+// its offset into a line and column when it is created (loc_at), so only
+// the error path ever counts lines.  Diagnostics render in the classic
 // file:line:col style with the offending source line and a caret, so an
 // EREW conflict in a .pram file reads like a compiler error, not like the
 // runtime std::invalid_argument Program validation would otherwise throw.
@@ -28,6 +29,11 @@ struct Loc {
 struct SourceFile {
   std::string name;
   std::string text;
+
+  /// The location of byte `offset`, counted from `from`: any location
+  /// already resolved in this file (by default the start).  Costs the bytes
+  /// between the two plus the length of the offset's line.
+  Loc loc_at(std::size_t offset, const Loc& from = {}) const;
 
   /// The full text of the line containing `loc` (no trailing newline).
   std::string line_at(const Loc& loc) const;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+
 #include "pram/interp.h"
 
 namespace apex::lang {
@@ -217,6 +220,32 @@ TEST(CompileFile, MissingFileIsADiagnosticNotAThrow) {
   ASSERT_FALSE(r.ok());
   ASSERT_EQ(r.diagnostics.size(), 1u);
   EXPECT_EQ(r.diagnostics[0].loc.line, 1u);
+}
+
+TEST(CompileFile, UnreadablePathIsADiagnostic) {
+  // A directory opens but reads nothing.
+  const std::string dir = std::string(APEX_SOURCE_DIR) + "/tests/lang/cases";
+  SourceFile src;
+  const auto r = compile_file(dir, src);
+  ASSERT_FALSE(r.ok());
+  ASSERT_EQ(r.diagnostics.size(), 1u);
+  EXPECT_EQ(r.diagnostics[0].message, "cannot read '" + dir + "'");
+  EXPECT_EQ(r.diagnostics[0].loc.line, 1u);
+  EXPECT_EQ(r.diagnostics[0].loc.col, 1u);
+  EXPECT_EQ(render_diagnostics(src, r.diagnostics),
+            dir + ":1:1: error: cannot read '" + dir + "'\n  \n  ^\n");
+}
+
+TEST(CompileFile, ReadsTheWholeFile) {
+  const std::string path =
+      std::string(APEX_SOURCE_DIR) + "/kernels/tutorial.pram";
+  SourceFile src;
+  const auto r = compile_file(path, src);
+  ASSERT_TRUE(r.ok()) << first_message(r);
+  std::ifstream in(path, std::ios::binary);
+  const std::string whole((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(src.text, whole);
 }
 
 }  // namespace

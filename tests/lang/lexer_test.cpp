@@ -5,20 +5,40 @@
 namespace apex::lang {
 namespace {
 
-std::vector<Token> lex_ok(const std::string& text) {
-  SourceFile src{"<test>", text};
-  std::vector<Diagnostic> diags;
-  auto toks = lex(src, diags);
-  EXPECT_TRUE(diags.empty()) << (diags.empty() ? "" : diags[0].message);
+/// Pulls tokens up to and including kEnd.
+std::vector<Token> pull_all(Lexer& lex) {
+  std::vector<Token> toks;
+  do toks.push_back(lex.next());
+  while (toks.back().kind != TokKind::kEnd);
   return toks;
 }
 
+/// Lexes `text` cleanly; each token comes with its spelling and location.
+struct Lexed {
+  SourceFile src;
+  std::vector<Token> toks;
+  std::string text(std::size_t i) const {
+    return src.text.substr(toks[i].offset, toks[i].length);
+  }
+  Loc loc(std::size_t i) const { return src.loc_at(toks[i].offset); }
+};
+
+Lexed lex_ok(const std::string& text) {
+  Lexed out{SourceFile{"<test>", text}, {}};
+  std::vector<Diagnostic> diags;
+  Lexer lex(out.src, diags);
+  out.toks = pull_all(lex);
+  EXPECT_TRUE(diags.empty()) << (diags.empty() ? "" : diags[0].message);
+  return out;
+}
+
 TEST(Lexer, TokenKindsAndValues) {
-  const auto toks = lex_ok("pram demo { } [ ] , : = 42");
+  const Lexed l = lex_ok("pram demo { } [ ] , : = 42");
+  const auto& toks = l.toks;
   ASSERT_EQ(toks.size(), 11u);  // 10 tokens + kEnd
   EXPECT_EQ(toks[0].kind, TokKind::kIdent);
-  EXPECT_EQ(toks[0].text, "pram");
-  EXPECT_EQ(toks[1].text, "demo");
+  EXPECT_EQ(l.text(0), "pram");
+  EXPECT_EQ(l.text(1), "demo");
   EXPECT_EQ(toks[2].kind, TokKind::kLBrace);
   EXPECT_EQ(toks[3].kind, TokKind::kRBrace);
   EXPECT_EQ(toks[4].kind, TokKind::kLBracket);
@@ -32,42 +52,43 @@ TEST(Lexer, TokenKindsAndValues) {
 }
 
 TEST(Lexer, LocationsAreOneBasedLineAndCol) {
-  const auto toks = lex_ok("pram p\n  procs 4\n");
-  ASSERT_GE(toks.size(), 4u);
-  EXPECT_EQ(toks[0].loc.line, 1u);
-  EXPECT_EQ(toks[0].loc.col, 1u);
-  EXPECT_EQ(toks[1].loc.col, 6u);
-  EXPECT_EQ(toks[2].loc.line, 2u);
-  EXPECT_EQ(toks[2].loc.col, 3u);   // after two-space indent
-  EXPECT_EQ(toks[3].loc.line, 2u);
-  EXPECT_EQ(toks[3].loc.col, 9u);
+  const Lexed l = lex_ok("pram p\n  procs 4\n");
+  ASSERT_GE(l.toks.size(), 4u);
+  EXPECT_EQ(l.loc(0).line, 1u);
+  EXPECT_EQ(l.loc(0).col, 1u);
+  EXPECT_EQ(l.loc(1).col, 6u);
+  EXPECT_EQ(l.loc(2).line, 2u);
+  EXPECT_EQ(l.loc(2).col, 3u);   // after two-space indent
+  EXPECT_EQ(l.loc(3).line, 2u);
+  EXPECT_EQ(l.loc(3).col, 9u);
 }
 
 TEST(Lexer, CommentsRunToEndOfLine) {
-  const auto toks = lex_ok("# whole-line comment\npram x # trailing\n42");
-  ASSERT_EQ(toks.size(), 4u);
-  EXPECT_EQ(toks[0].text, "pram");
-  EXPECT_EQ(toks[1].text, "x");
-  EXPECT_EQ(toks[2].value, 42u);
+  const Lexed l = lex_ok("# whole-line comment\npram x # trailing\n42");
+  ASSERT_EQ(l.toks.size(), 4u);
+  EXPECT_EQ(l.text(0), "pram");
+  EXPECT_EQ(l.text(1), "x");
+  EXPECT_EQ(l.toks[2].value, 42u);
 }
 
 TEST(Lexer, UnderscoreIdentifiers) {
-  const auto toks = lex_ok("_x gather_dyn a1_b2");
-  EXPECT_EQ(toks[0].text, "_x");
-  EXPECT_EQ(toks[1].text, "gather_dyn");
-  EXPECT_EQ(toks[2].text, "a1_b2");
+  const Lexed l = lex_ok("_x gather_dyn a1_b2");
+  EXPECT_EQ(l.text(0), "_x");
+  EXPECT_EQ(l.text(1), "gather_dyn");
+  EXPECT_EQ(l.text(2), "a1_b2");
 }
 
 TEST(Lexer, MaxUint64Literal) {
-  const auto toks = lex_ok("18446744073709551615");
-  ASSERT_EQ(toks.size(), 2u);
-  EXPECT_EQ(toks[0].value, 18446744073709551615ULL);
+  const Lexed l = lex_ok("18446744073709551615");
+  ASSERT_EQ(l.toks.size(), 2u);
+  EXPECT_EQ(l.toks[0].value, 18446744073709551615ULL);
 }
 
 TEST(Lexer, IntegerOverflowIsDiagnosed) {
   SourceFile src{"<test>", "pram p\n18446744073709551616"};
   std::vector<Diagnostic> diags;
-  const auto toks = lex(src, diags);
+  Lexer lex(src, diags);
+  const auto toks = pull_all(lex);
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_NE(diags[0].message.find("does not fit in 64 bits"),
             std::string::npos);
@@ -78,7 +99,8 @@ TEST(Lexer, IntegerOverflowIsDiagnosed) {
 TEST(Lexer, StrayCharacterIsDiagnosed) {
   SourceFile src{"<test>", "pram p\n  @bad"};
   std::vector<Diagnostic> diags;
-  lex(src, diags);
+  Lexer lex(src, diags);
+  pull_all(lex);
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].loc.line, 2u);
   EXPECT_EQ(diags[0].loc.col, 3u);
@@ -87,7 +109,8 @@ TEST(Lexer, StrayCharacterIsDiagnosed) {
 TEST(Lexer, RenderDiagnosticHasCaretUnderColumn) {
   SourceFile src{"bad.pram", "pram p\n  @bad"};
   std::vector<Diagnostic> diags;
-  lex(src, diags);
+  Lexer lex(src, diags);
+  pull_all(lex);
   ASSERT_EQ(diags.size(), 1u);
   const std::string out = render_diagnostic(src, diags[0]);
   EXPECT_NE(out.find("bad.pram:2:3: error:"), std::string::npos);
