@@ -36,8 +36,8 @@ class Analyzer {
     resolve_layout();
     resolve_segments();
     std::vector<pram::Step> steps = build_steps();
-    // EREW conflicts count only once every other check passed.
-    if (diags_.empty()) diags_ = std::move(erew_diags_);
+    if (!diags_.empty()) return std::nullopt;
+    check_erew(steps);
     if (!diags_.empty()) return std::nullopt;
     // Our checks mirror Program's own validation, so this construction
     // cannot throw; the try is a backstop so a checker gap still surfaces
@@ -55,14 +55,10 @@ class Analyzer {
   }
 
  private:
-  void error(std::size_t at, std::string msg) {
-    report(diags_, at, std::move(msg));
-  }
-
   /// Locates from the previous diagnostic: batches mostly move forward.
-  void report(std::vector<Diagnostic>& to, std::size_t at, std::string msg) {
+  void error(std::size_t at, std::string msg) {
     last_ = src_.loc_at(at, last_);
-    to.push_back({last_, std::move(msg)});
+    diags_.push_back({last_, std::move(msg)});
   }
 
   /// Records keep offsets, so names are read back from the source (which
@@ -195,28 +191,22 @@ class Analyzer {
 
   // ---- codegen ---------------------------------------------------------
 
-  /// Writes every lane's instruction into its step, then runs the EREW
-  /// mirror on the step while nothing else has failed.  A step's records
-  /// are freed as soon as it is done.
+  /// Writes every lane's instruction into its step.
   std::vector<pram::Step> build_steps() {
     std::vector<pram::Step> steps(p_.steps.size());
-    // placed[t]: 1 + the index of the lane thread t's instruction came
-    // from; 0 = idle.
-    std::vector<std::size_t> placed;
+    std::vector<bool> placed;  // thread has an instruction this step
     for (std::size_t s = 0; s < steps.size(); ++s) {
       steps[s].instrs.assign(static_cast<std::size_t>(procs_),
                              pram::Instr::nop());
-      placed.assign(static_cast<std::size_t>(procs_), 0);
-      const std::vector<LaneRec>& lanes = p_.steps[s];
-      for (std::size_t i = 0; i < lanes.size(); ++i) {
-        const LaneRec& lane = lanes[i];
+      placed.assign(static_cast<std::size_t>(procs_), false);
+      for (const LaneRec& lane : p_.steps[s]) {
         if (lane.lane >= procs_) {
           error(lane.lane_at, "lane " + std::to_string(lane.lane) +
                                   " out of range (procs=" +
                                   std::to_string(procs_) + ")");
           continue;
         }
-        if (placed[lane.lane] != 0) {
+        if (placed[lane.lane]) {
           error(lane.lane_at, "duplicate lane " + std::to_string(lane.lane) +
                                   " in step");
           continue;
@@ -224,10 +214,8 @@ class Analyzer {
         const auto ins = lower(lane);
         if (!ins) continue;
         steps[s].instrs[lane.lane] = *ins;
-        placed[lane.lane] = i + 1;
+        placed[lane.lane] = true;
       }
-      if (diags_.empty()) check_erew(s, steps[s], lanes, placed);
-      std::vector<LaneRec>().swap(p_.steps[s]);
     }
     return steps;
   }
@@ -291,84 +279,86 @@ class Analyzer {
 
   // ---- EREW (source-located mirror of Program::validate_erew) ----------
 
-  void check_erew(std::size_t s, const pram::Step& step,
-                  const std::vector<LaneRec>& lanes,
-                  const std::vector<std::size_t>& placed) {
-    if (reads_.empty()) {
-      reads_.assign(static_cast<std::size_t>(nvars_), 0);
-      writes_.assign(static_cast<std::size_t>(nvars_), 0);
-    }
-    const std::uint32_t epoch = static_cast<std::uint32_t>(s) + 1;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> step_segs;
-    struct Write { std::uint32_t var; const LaneRec* lane; };
-    std::vector<Write> written;
-    for (std::size_t t = 0; t < step.instrs.size(); ++t) {
-      if (placed[t] == 0) continue;  // implicit nop
-      const pram::Instr& ins = step.instrs[t];
-      const LaneRec& lane = lanes[placed[t] - 1];
-      const int r = pram::reads_of(ins.op);
-      if (r >= 1) mark_read(epoch, ins.x, lane.x.at);
-      if (r >= 2 && ins.op != pram::OpCode::kGather)
-        mark_read(epoch, ins.y, lane.y.at);
-      if (r >= 3) mark_read(epoch, ins.c, lane.c.at);
-      if (pram::reads_window(ins.op)) {
-        // The whole declared window counts as read (the executed index is
-        // data-dependent), so overlap with any other read is a conflict.
-        for (std::uint32_t v = ins.y; v < ins.y + ins.c; ++v)
-          mark_read(epoch, v, lane.y.at);
-      }
-      if (pram::reads_dyn_window(ins.op)) {
-        const auto seg = std::make_pair(pram::dyn_seg_base(ins),
-                                        pram::dyn_seg_len(ins));
-        if (std::find(step_segs.begin(), step_segs.end(), seg) ==
-            step_segs.end())
-          step_segs.push_back(seg);
-      }
-      if (pram::writes_dest(ins.op)) {
-        if (writes_[ins.z] == epoch) {
-          report(erew_diags_, lane.z.at,
-                 "EREW violation: variable v" + std::to_string(ins.z) +
-                     " written by more than one thread in this step");
-        } else {
-          writes_[ins.z] = epoch;
+  /// Runs once every lane compiled, like Program's own check; frees each
+  /// step's records once it is checked.
+  void check_erew(const std::vector<pram::Step>& steps) {
+    std::vector<std::uint32_t> reads(nvars_, 0), writes(nvars_, 0);
+    std::vector<const LaneRec*> lane_of;  // [thread], this step
+    for (std::size_t s = 0; s < steps.size(); ++s) {
+      const std::uint32_t epoch = static_cast<std::uint32_t>(s) + 1;
+      lane_of.assign(static_cast<std::size_t>(procs_), nullptr);
+      for (const LaneRec& lane : p_.steps[s]) lane_of[lane.lane] = &lane;
+      std::vector<std::pair<std::uint32_t, std::uint32_t>> step_segs;
+      struct Write { std::uint32_t var; const LaneRec* lane; };
+      std::vector<Write> written;
+      for (std::size_t t = 0; t < steps[s].instrs.size(); ++t) {
+        const pram::Instr& ins = steps[s].instrs[t];
+        const LaneRec* lane = lane_of[t];
+        if (lane == nullptr) continue;  // implicit nop
+        const int r = pram::reads_of(ins.op);
+        if (r >= 1) mark_read(reads, epoch, ins.x, lane->x.at);
+        if (r >= 2 && ins.op != pram::OpCode::kGather)
+          mark_read(reads, epoch, ins.y, lane->y.at);
+        if (r >= 3) mark_read(reads, epoch, ins.c, lane->c.at);
+        if (pram::reads_window(ins.op)) {
+          // The whole declared window counts as read (the executed index is
+          // data-dependent), so overlap with any other read is a conflict.
+          for (std::uint32_t v = ins.y; v < ins.y + ins.c; ++v)
+            mark_read(reads, epoch, v, lane->y.at);
         }
-        written.push_back({ins.z, &lane});
+        if (pram::reads_dyn_window(ins.op)) {
+          const auto seg = std::make_pair(pram::dyn_seg_base(ins),
+                                          pram::dyn_seg_len(ins));
+          if (std::find(step_segs.begin(), step_segs.end(), seg) ==
+              step_segs.end())
+            step_segs.push_back(seg);
+        }
+        if (pram::writes_dest(ins.op)) {
+          if (writes[ins.z] == epoch) {
+            error(lane->z.at, "EREW violation: variable v" +
+                                  std::to_string(ins.z) +
+                                  " written by more than one thread in this "
+                                  "step");
+          } else {
+            writes[ins.z] = epoch;
+          }
+          written.push_back({ins.z, lane});
+        }
       }
+      // Segment cells must stay frozen while any gather_dyn of this step
+      // may read them.
+      for (const auto& [base, len] : step_segs)
+        for (const Write& w : written)
+          if (w.var >= base && w.var - base < len)
+            error(w.lane->z.at,
+                  "variable v" + std::to_string(w.var) +
+                      " written inside gather_dyn segment [v" +
+                      std::to_string(base) + ", v" +
+                      std::to_string(static_cast<std::uint64_t>(base) + len) +
+                      ")");
+      std::vector<LaneRec>().swap(p_.steps[s]);
     }
-    // Segment cells must stay frozen while any gather_dyn of this step
-    // may read them.
-    for (const auto& [base, len] : step_segs)
-      for (const Write& w : written)
-        if (w.var >= base && w.var - base < len)
-          report(erew_diags_, w.lane->z.at,
-                 "variable v" + std::to_string(w.var) +
-                     " written inside gather_dyn segment [v" +
-                     std::to_string(base) + ", v" +
-                     std::to_string(static_cast<std::uint64_t>(base) + len) +
-                     ")");
   }
 
-  void mark_read(std::uint32_t epoch, std::uint32_t var, std::size_t at) {
-    if (reads_[var] == epoch) {
-      report(erew_diags_, at,
-             "EREW violation: variable v" + std::to_string(var) +
-                 " read by more than one thread in this step");
+  void mark_read(std::vector<std::uint32_t>& reads, std::uint32_t epoch,
+                 std::uint32_t var, std::size_t at) {
+    if (reads[var] == epoch) {
+      error(at, "EREW violation: variable v" + std::to_string(var) +
+                    " read by more than one thread in this step");
       return;
     }
-    reads_[var] = epoch;
+    reads[var] = epoch;
   }
 
   const SourceFile& src_;
   ParsedProgram& p_;
   std::vector<Diagnostic>& diags_;
-  std::vector<Diagnostic> erew_diags_;
   std::vector<Diagnostic> none_;
   Loc last_;  ///< The latest diagnostic's location.
   std::uint64_t procs_ = 0;
   std::uint64_t nvars_ = 0;
   std::unordered_map<std::string_view, VarInfo> names_;
   std::unordered_map<std::string_view, SegInfo> segs_;
-  std::vector<std::uint32_t> reads_, writes_;  ///< Epoch of the last use.
 };
 
 }  // namespace

@@ -236,15 +236,17 @@ TEST(CompileFile, UnreadablePathIsADiagnostic) {
             dir + ":1:1: error: cannot read '" + dir + "'\n  \n  ^\n");
 }
 
-TEST(CompileFile, ReadsTheWholeFile) {
-  const std::string path =
-      std::string(APEX_SOURCE_DIR) + "/kernels/tutorial.pram";
-  SourceFile src;
-  const auto r = compile_file(path, src);
-  ASSERT_TRUE(r.ok()) << first_message(r);
+TEST(CompileFile, ReadsAFileOfUnknownSizeWhole) {
+  // /proc reports size 0 for its files, as a pipe has no size: the read
+  // buffer has to grow.
+  const std::string path = "/proc/self/cmdline";
   std::ifstream in(path, std::ios::binary);
+  if (!in) GTEST_SKIP() << "no " << path;
   const std::string whole((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>());
+  SourceFile src;
+  compile_file(path, src);
+  EXPECT_GT(whole.size(), 1u);
   EXPECT_EQ(src.text, whole);
 }
 

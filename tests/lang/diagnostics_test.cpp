@@ -60,6 +60,9 @@ TEST(DiagnosticsGolden, SemanticErrorsBatchOrder) {
   check_case("batch_order");
 }
 TEST(DiagnosticsGolden, ErewErrorsBatchOrder) { check_case("erew_order"); }
+TEST(DiagnosticsGolden, HugeLayoutWithALaneError) {
+  check_case("huge_layout");
+}
 
 }  // namespace
 }  // namespace apex::lang
