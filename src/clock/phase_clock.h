@@ -9,11 +9,12 @@
 //     are necessary and α2·n are sufficient to advance the clock by one,
 //     regardless of WHICH processors invoke it.
 //
-// Construction (substitution documented in DESIGN.md §2): an array of m = n
-// per-slot counters in shared memory.  Update-Clock increments a uniformly
-// random slot (one read + one write; the read-then-write pair is not atomic,
-// so concurrent increments can occasionally be lost — that loss is a
-// constant factor absorbed into [α1, α2], which bench E8 measures).
+// Construction (a substitution: docs/ARCHITECTURE.md, "Substitutions"):
+// an array of m = n per-slot counters in shared memory.  Update-Clock
+// increments a uniformly random slot (one read + one write; the
+// read-then-write pair is not atomic, so concurrent increments can
+// occasionally be lost — that loss is a constant factor absorbed into
+// [α1, α2], which bench E8 measures).
 // Read-Clock samples s = Θ(log n) random slots, scales the sampled sum by
 // m/s to estimate the total number of updates U, and returns ⌊U / τ⌋ with
 // τ = α·n, clamped to be monotone per reader.

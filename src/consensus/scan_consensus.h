@@ -9,8 +9,8 @@
 // is the cost the paper's bin-array protocol removes (O(n log n log log n)
 // for all n values), and experiment E10 measures the gap.
 //
-// This module implements that structure as an honest stand-in (DESIGN.md
-// §2, substitution 3): per value i,
+// This module implements that structure as an honest stand-in
+// (docs/ARCHITECTURE.md, "Substitutions"): per value i,
 //   1. every processor draws f_i and writes it to its own register R[i][p]
 //      (single-writer: no write contention),
 //   2. processors scan all n registers until every register is filled,

@@ -28,8 +28,8 @@
 //
 // Program variables live in G-generation timestamped slots: the write of
 // step s goes to slot (s+1) mod G with stamp s+1, and a reader that
-// statically expects writer step w accepts only stamp w+1 (see
-// DESIGN.md §2 substitution 4).
+// statically expects writer step w accepts only stamp w+1 (a substitution:
+// docs/ARCHITECTURE.md, "Substitutions").
 #pragma once
 
 #include <cstdint>

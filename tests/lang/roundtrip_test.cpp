@@ -8,6 +8,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "lang/compile.h"
 #include "lang/emit.h"
@@ -61,27 +62,18 @@ TEST(RoundTrip, EveryRegistryWorkloadAtN8) {
 }
 
 TEST(RoundTrip, EmitterCoversLargerInstances) {
-  for (const char* name : {"prefix", "bfs", "spmv"}) {
+  // n = 10000: the graph kernels the wall-clock benchmark compiles.
+  const std::pair<const char*, std::size_t> cases[] = {
+      {"prefix", 16}, {"bfs", 16}, {"spmv", 16}, {"bfs", 10000},
+      {"spmv", 10000}};
+  for (const auto& [name, n] : cases) {
     const pram::WorkloadSpec* spec = pram::find_workload(name);
     ASSERT_NE(spec, nullptr);
-    const pram::Program p = spec->make(16);
+    const pram::Program p = spec->make(n);
     const CompileResult r =
         compile_source(SourceFile{name, emit_pram(p, name)});
     ASSERT_TRUE(r.ok()) << name;
-    EXPECT_TRUE(programs_equal(*r.program, p)) << name << " n=16";
-  }
-}
-
-TEST(RoundTrip, BenchmarkScaleInstances) {
-  // The graph kernels at the size the wall-clock benchmark compiles.
-  for (const char* name : {"bfs", "spmv"}) {
-    const pram::WorkloadSpec* spec = pram::find_workload(name);
-    ASSERT_NE(spec, nullptr);
-    const pram::Program p = spec->make(10000);
-    const CompileResult r =
-        compile_source(SourceFile{name, emit_pram(p, name)});
-    ASSERT_TRUE(r.ok()) << name;
-    EXPECT_TRUE(programs_equal(*r.program, p)) << name << " n=10000";
+    EXPECT_TRUE(programs_equal(*r.program, p)) << name << " n=" << n;
   }
 }
 
