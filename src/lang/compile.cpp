@@ -382,8 +382,11 @@ CompileResult compile_file(const std::string& path, SourceFile& out_src) {
   std::string& text = out_src.text;
   text.resize(ec ? 4096 : static_cast<std::size_t>(size) + 1);
   std::size_t got = 0;
-  while (in.read(&text[got], static_cast<std::streamsize>(text.size() - got)))
-    text.resize(2 * (got = text.size()));
+  while (in.read(&text[got],
+                 static_cast<std::streamsize>(text.size() - got))) {
+    got = text.size();
+    text.resize(2 * got);
+  }
   text.resize(got + static_cast<std::size_t>(in.gcount()));
   if (in.bad()) {
     text.clear();

@@ -96,16 +96,17 @@ class Parser {
     const std::string_view kw =
         at(TokKind::kIdent) ? lex_.text(cur_) : std::string_view();
     const auto kw_at = static_cast<std::uint32_t>(cur_.offset);
-    if (kw == "procs" || kw == "vars") {
-      const bool procs = kw == "procs";
+    if (kw == "procs") {
       advance();
-      std::uint64_t n = 0;
-      if (!expect(TokKind::kInt, procs ? "processor count" : "variable count",
-                  nullptr, &n))
-        return false;
-      (procs ? p.procs : p.vars) = n;
-      (procs ? p.procs_at : p.vars_at) = kw_at;
-      return true;
+      p.procs_at = kw_at;
+      return expect(TokKind::kInt, "processor count", nullptr,
+                    &p.procs.emplace());
+    }
+    if (kw == "vars") {
+      advance();
+      p.vars_at = kw_at;
+      return expect(TokKind::kInt, "variable count", nullptr,
+                    &p.vars.emplace());
     }
     if (kw == "var") {
       advance();
