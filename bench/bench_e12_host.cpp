@@ -24,18 +24,12 @@
 //
 // Third table: the SCALING STUDY the virtualized executor exists for.
 // P logical processors (up to the registry's scale_ns instances, 64/128)
-// multiplexed onto T <= 8 OS threads, swept over interleave policy
-// (rr/random/block) and memory order (the audited acq_rel hot path vs the
-// --seq-cst fidelity fallback), with steps/s (Mwork/s) plus the
+// multiplexed onto T <= 8 OS threads, with steps/s (Mwork/s) plus the
 // lost/repaired commit columns on every row.  The one-thread-per-processor
-// design bounded P by what the OS could sensibly timeslice; these grids
-// are exactly the configurations it could never run.
-//
-// Fourth table: GRAPH SCALE — the CSR-backed kernels (bfs, spmv) at the
-// registry's n = 1e4 instance (1e5 with --full): thousands of logical
-// processors walking partitioned CSR row slices through dynamic-window
-// gathers, placed partition-aware (each OS thread owns a weight-balanced
-// share of the degree mass) on T = 2 threads at alpha = 32.
+// design bounded P by what the OS could sensibly timeslice; this grid is
+// exactly the configurations it could never run.  The graph-scale
+// instances (n = 1e4) are timed by `apexcli perfbench`'s graph_rows and
+// checked by tests/host/graph_scale_test.cpp.
 //
 // Note on --jobs: each trial already spawns its own thread team, and the
 // wall-clock/throughput columns are timing measurements, so running trials
@@ -181,27 +175,16 @@ int main(int argc, char** argv) {
     const char* workload;
     std::size_t P;       ///< Logical processors.
     std::size_t T;       ///< OS worker threads.
-    Interleave il;
-    bool seq_cst;
   };
   std::vector<ScalePoint> sgrid = {
-      {"spmv", 16, 1, Interleave::kRoundRobin, false},
-      {"spmv", 16, 2, Interleave::kRoundRobin, false},
-      {"spmv", 64, 1, Interleave::kRoundRobin, false},
-      {"spmv", 64, 2, Interleave::kRoundRobin, false},
-      {"spmv", 64, 4, Interleave::kRoundRobin, false},
-      {"spmv", 64, 8, Interleave::kRoundRobin, false},
-      {"spmv", 64, 2, Interleave::kRandom, false},
-      {"spmv", 64, 2, Interleave::kBlock, false},
-      {"spmv", 64, 2, Interleave::kRoundRobin, true},
-      {"bfs", 64, 2, Interleave::kRoundRobin, false},
-      {"dag", 64, 2, Interleave::kRoundRobin, false},
+      {"spmv", 16, 1}, {"spmv", 16, 2}, {"spmv", 64, 1}, {"spmv", 64, 2},
+      {"spmv", 64, 4}, {"spmv", 64, 8}, {"bfs", 64, 2}, {"dag", 64, 2},
   };
   if (opt.full) {
-    sgrid.push_back({"bfs", 64, 4, Interleave::kRoundRobin, false});
-    sgrid.push_back({"spmv", 128, 4, Interleave::kRoundRobin, false});
-    sgrid.push_back({"bfs", 128, 4, Interleave::kRoundRobin, false});
-    sgrid.push_back({"dag", 128, 4, Interleave::kRoundRobin, false});
+    sgrid.push_back({"bfs", 64, 4});
+    sgrid.push_back({"spmv", 128, 4});
+    sgrid.push_back({"bfs", 128, 4});
+    sgrid.push_back({"dag", 128, 4});
   }
 
   const auto sgroups = opt.sweep(sgrid, opt.seeds, [](const ScalePoint& pt,
@@ -210,15 +193,13 @@ int main(int argc, char** argv) {
     HostExecConfig cfg;
     cfg.seed = 12'800 + static_cast<std::uint64_t>(s);
     cfg.os_threads = pt.T;
-    cfg.interleave = pt.il;
-    cfg.seq_cst = pt.seq_cst;
     cfg.clock_alpha = 48.0;  // virtualized: phases need not outlast OS slices
     cfg.timeout_seconds = 120.0;
     return host_trial(*spec, pt.P, cfg);
   });
 
-  Table st({"kernel", "P", "T", "policy", "order", "runs", "ok", "damaged",
-            "repaired", "work_mean", "wall_ms", "Msteps/s"});
+  Table st({"kernel", "P", "T", "runs", "ok", "damaged", "repaired",
+            "work_mean", "wall_ms", "Msteps/s"});
   for (std::size_t g = 0; g < sgrid.size(); ++g) {
     const auto& group = sgroups[g];
     if (!group.all_ok()) all_ok = false;
@@ -227,8 +208,6 @@ int main(int argc, char** argv) {
         .cell(sgrid[g].workload)
         .cell(static_cast<std::uint64_t>(sgrid[g].P))
         .cell(static_cast<std::uint64_t>(sgrid[g].T))
-        .cell(interleave_name(sgrid[g].il))
-        .cell(sgrid[g].seq_cst ? "seq_cst" : "acq_rel")
         .cell(static_cast<std::uint64_t>(group.trials()))
         .cell(ok)
         .cell(static_cast<std::uint64_t>(group.count("damaged")))
@@ -241,69 +220,10 @@ int main(int argc, char** argv) {
               "threads, alpha=48):\n");
   opt.emit(st);
 
-  // ---- graph scale: CSR kernels at n = 1e4 (1e5 with --full) --------------
-  //
-  // The registry's graph-scale instances: n vertices compiled onto
-  // P = min(n, 4096) logical processors that walk partitioned CSR row
-  // slices through dynamic-window gathers.  Placement is partition-aware
-  // (Interleave::kPartition seeded with the workload's reported
-  // per-processor degree mass), so each OS thread owns a weight-balanced
-  // share of the irregular rows.  Audit-clean runs only, like every host
-  // table above.
-
-  struct GraphPoint {
-    const char* workload;
-    std::size_t n;
-  };
-  std::vector<GraphPoint> ggrid = {{"bfs", 10'000}, {"spmv", 10'000}};
-  if (opt.full) {
-    ggrid.push_back({"bfs", 100'000});
-    ggrid.push_back({"spmv", 100'000});
-  }
-  const auto ggroups = opt.sweep(ggrid, opt.seeds, [](const GraphPoint& pt,
-                                                      int s) {
-    const auto* spec = pram::find_workload(pt.workload);
-    HostExecConfig cfg;
-    cfg.seed = 13'000 + static_cast<std::uint64_t>(s);
-    cfg.os_threads = 2;
-    cfg.clock_alpha = 32.0;
-    cfg.generations = 6;
-    cfg.interleave = Interleave::kPartition;
-    cfg.proc_weights = spec->proc_weights(pt.n);
-    cfg.timeout_seconds = pt.n > 10'000 ? 1200.0 : 600.0;
-    return host_trial(*spec, pt.n, cfg);
-  });
-
-  Table gt({"kernel", "n", "P", "T", "policy", "runs", "ok", "damaged",
-            "repaired", "work_mean", "wall_ms", "Msteps/s"});
-  for (std::size_t g = 0; g < ggrid.size(); ++g) {
-    const auto& group = ggroups[g];
-    if (!group.all_ok()) all_ok = false;
-    const int ok = static_cast<int>(group.count("ok"));
-    gt.row()
-        .cell(ggrid[g].workload)
-        .cell(static_cast<std::uint64_t>(ggrid[g].n))
-        .cell(static_cast<std::uint64_t>(std::min<std::size_t>(ggrid[g].n,
-                                                               4096)))
-        .cell(static_cast<std::uint64_t>(2))
-        .cell("partition")
-        .cell(static_cast<std::uint64_t>(group.trials()))
-        .cell(ok)
-        .cell(static_cast<std::uint64_t>(group.count("damaged")))
-        .cell(static_cast<std::uint64_t>(group.count("repaired")))
-        .cell(ok ? group.sample("work").mean() : 0.0, 0)
-        .cell(ok ? group.sample("wall").mean() : 0.0, 2)
-        .cell(ok ? group.sample("wps").mean() : 0.0, 2);
-  }
-  std::printf("\ngraph scale (CSR kernels, partition-aware placement, "
-              "alpha=32, T=2):\n");
-  opt.emit(gt);
-
   return bench::verdict(all_ok,
                         "agreement reached at every thread count on real "
                         "threads; the full scheme executes regular AND "
                         "irregular PRAM kernels correctly under genuine "
                         "asynchrony, including P=64+ instances virtualized "
-                        "onto a handful of OS threads across every "
-                        "interleave policy and memory order");
+                        "onto a handful of OS threads");
 }

@@ -153,7 +153,9 @@ class StageAnalysis final : public AgreementObserver {
   std::vector<CycleRecord> records_;
 };
 
-/// Fan-out helpers: the runtime and simulator each take a single observer.
+/// Agreement-observer fan-out: the protocol and the executor each take a
+/// single observer.  (Step observers fan out through the simulator's own
+/// sim::CompositeObserver.)
 class AgreementObserverMux final : public AgreementObserver {
  public:
   void add(AgreementObserver* o) { list_.push_back(o); }
@@ -167,10 +169,5 @@ class AgreementObserverMux final : public AgreementObserver {
  private:
   std::vector<AgreementObserver*> list_;
 };
-
-/// Step-observer fan-out is now a simulator facility (the Simulator owns a
-/// CompositeObserver chain; attach with Simulator::add_observer).  The old
-/// mux name survives for code that builds standalone chains.
-using StepObserverMux = sim::CompositeObserver;
 
 }  // namespace apex::agreement

@@ -75,16 +75,23 @@ std::vector<TrialResult> SweepEngine::run(const SweepSpec& spec,
       // write the result into its slot.  Claim order is racy; slot placement
       // (and therefore everything downstream) is not.
       std::atomic<std::size_t> next{0};
+      const auto drain = [&] {
+        for (;;) {
+          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+          if (i >= spec.trials) return;
+          out[i] = guarded(fn, i);
+        }
+      };
       std::vector<std::thread> pool;
       pool.reserve(jobs);
-      for (std::size_t w = 0; w < jobs; ++w) {
-        pool.emplace_back([&] {
-          for (;;) {
-            const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= spec.trials) return;
-            out[i] = guarded(fn, i);
-          }
-        });
+      try {
+        for (std::size_t w = 0; w < jobs; ++w) pool.emplace_back(drain);
+      } catch (const std::exception&) {
+        // A worker that cannot start (thread or address-space limits) only
+        // costs speed: the workers already running drain every trial, and
+        // with none running the calling thread does.  Slots, not workers,
+        // fix the output, so it stays byte-identical.
+        if (pool.empty()) drain();
       }
       for (auto& t : pool) t.join();
     }

@@ -80,6 +80,8 @@ class TrialResult {
 struct SweepSpec {
   std::size_t trials = 0;
   /// Worker threads; 0 = hardware concurrency, 1 = run inline (no pool).
+  /// Workers that cannot be started are done without: the ones running
+  /// (or, with none, the calling thread) take their trials.
   std::size_t jobs = 1;
   /// Record trial exceptions on TrialResult::error instead of throwing a
   /// SweepError after the sweep completes.

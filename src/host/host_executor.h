@@ -12,15 +12,17 @@
 // The virtual-processor run loop: each logical processor is a dense
 // HostProc record (private RNG, tick estimate, work counters — no heap, no
 // atomics, owned by exactly one worker thread), and each of T OS threads
-// walks its contiguous slice of the P records under a pluggable interleave
-// policy (round-robin / random / block), executing ONE protocol step per
-// visit.  The substrate provides timing, the protocol provides correctness:
-// from the protocol's viewpoint a T-thread host is simply an adversary that
-// stalls every processor of a slice in lockstep — a LEGAL oblivious
-// adversary (the OS and the policy never see the protocol's coins), and a
-// strictly more asynchronous one than one-thread-per-processor, since a
-// single preemption now stalls P/T processors at once.  T = 1 is a fully
-// deterministic sequential interleaving.
+// walks its contiguous slice of the P records in one sweep — a block of
+// consecutive visits per live processor, then the next — executing ONE
+// protocol step per visit.  Slices hold equal processor counts or equal
+// weight (Interleave).  The substrate provides timing, the protocol provides
+// correctness: from the protocol's viewpoint a T-thread host is simply an
+// adversary that stalls every processor of a slice in lockstep — a LEGAL
+// oblivious adversary (the OS, the sweep and the slicing never see the
+// protocol's coins), and a strictly more asynchronous one than
+// one-thread-per-processor, since a single preemption now stalls P/T
+// processors at once.  T = 1 is a fully deterministic sequential
+// interleaving.
 //
 // What this validates: the w.h.p. guarantees of the scheme carry from the
 // oblivious-adversary model to genuine preemption — and now to instance
@@ -79,26 +81,22 @@
 
 namespace apex::host {
 
-/// Order in which a worker thread visits the virtual processors it owns.
-/// All policies are oblivious (they never read protocol state), so each is
-/// a legal adversary; they differ in the relative asynchrony they induce
-/// between processors of one slice.
+/// How the P virtual processors are cut into the T worker threads' slices.
+/// Every worker walks its slice with the same sweep (kBlockSteps visits per
+/// live processor per turn, host_executor.cpp).  Neither slicing reads
+/// protocol state, so each is a legal oblivious adversary.
 enum class Interleave : std::uint8_t {
-  kRoundRobin,  ///< Cyclic sweep: skew within a slice bounded by 1 visit.
-  kRandom,      ///< Uniform pick per visit (thread-private stream).
-  kBlock,       ///< A block of consecutive steps per processor before
-                ///< moving on (kBlockSteps in host_executor.cpp).
-  kPartition,   ///< Cyclic sweep over WEIGHT-BALANCED slices: the T slice
-                ///< bounds come from HostExecConfig::proc_weights (e.g. the
-                ///< graph degree partitioner's per-processor work), so the
-                ///< OS threads that walk a CSR partition own the processors
-                ///< placed on it.  Still oblivious: weights are static data
-                ///< fixed before the run.
+  kRoundRobin,  ///< Equal-count slices.
+  kPartition,   ///< WEIGHT-BALANCED slices: the T slice bounds come from
+                ///< HostExecConfig::proc_weights (e.g. the graph degree
+                ///< partitioner's per-processor work), so the OS threads
+                ///< that walk a CSR partition own the processors placed on
+                ///< it.  Still oblivious: weights are static data fixed
+                ///< before the run.
 };
 
 const char* interleave_name(Interleave p) noexcept;
-/// Parse "rr"/"round_robin", "random", "block", "partition"; returns false
-/// on junk.
+/// Parse "rr"/"round_robin" or "partition"; returns false on anything else.
 bool parse_interleave(const std::string& s, Interleave& out) noexcept;
 
 struct HostExecConfig {
@@ -108,10 +106,10 @@ struct HostExecConfig {
   /// purposes: (a) as in the simulator, it must comfortably exceed the bin
   /// size so every bin fills early in its phase, and (b) it sets the wall-
   /// clock length of a phase, which must outlast OS timeslices when T is
-  /// close to P and the OS, not the interleave policy, decides who runs.
-  /// 4096 is the conservative value for that shape.  Virtualized configs
-  /// (T << P) tolerate far smaller alpha (e.g. 48): intra-slice skew is
-  /// policy-bounded, so phases no longer need to outlast OS timeslices.
+  /// close to P and the OS, not the sweep, decides who runs.  4096 is the
+  /// conservative value for that shape.  Virtualized configs (T << P)
+  /// tolerate far smaller alpha (e.g. 48): intra-slice skew is bounded by
+  /// the sweep, so phases no longer need to outlast OS timeslices.
   double clock_alpha = 4096.0;
   std::uint64_t seed = 1;
   double timeout_seconds = 60.0;
@@ -122,17 +120,13 @@ struct HostExecConfig {
   /// resolve_os_threads().
   std::size_t os_threads = 0;
   Interleave interleave = Interleave::kRoundRobin;
-  /// Fidelity fallback: force seq_cst on every protocol word, restoring the
-  /// pre-virtualization memory discipline exactly.  Off = the audited
-  /// relaxed/acq-rel orders (see the proof obligations in host_executor.cpp).
-  bool seq_cst = false;
   /// Run the post-join lost-commit repair pass (on by default; off shows
   /// the raw audit).
   bool repair = true;
   /// Per-logical-processor work weights for Interleave::kPartition (e.g.
   /// instruction-slot counts from the graph degree partitioner).  Empty =
-  /// equal-count slices (kPartition then degenerates to round-robin); a
-  /// non-empty vector must have exactly P entries.
+  /// equal-count slices, as under kRoundRobin; a non-empty vector must have
+  /// exactly P entries.
   std::vector<std::uint64_t> proc_weights;
   /// TEST ONLY: fault injected between thread join and the commit audit —
   /// lets tests exercise the audit+repair path deterministically (genuine
@@ -155,9 +149,10 @@ struct HostExecResult {
   std::vector<std::uint64_t> memory;  ///< Final value of each variable.
   std::uint64_t stamp_misses = 0;     ///< Operand reads that found a stale
                                       ///< stamp and retried (normal).
-  /// First worker-side fault (e.g. a program value exceeding the 40-bit
-  /// host Pack width).  Non-empty implies completed == false; the run
-  /// aborts cleanly instead of crashing the process.
+  /// First fault: a worker-side one (e.g. a program value exceeding the
+  /// 40-bit host Pack width), or a thread that could not be started.
+  /// Non-empty implies completed == false; the run aborts cleanly instead of
+  /// crashing the process.  A timeout leaves it empty.
   std::string error;
   /// Variables whose LAST writer's commit was absent from its generation
   /// slot after the run AND could not be repaired from the agreed bin
@@ -236,25 +231,16 @@ class HostExecutor {
   };
 
   void worker(std::size_t tid);
-  /// The hot path is templated on the fidelity flag so every memory order
-  /// is a COMPILE-TIME constant: GCC/Clang compile a runtime-valued
-  /// std::memory_order argument to the strongest order (the builtin falls
-  /// back to seq_cst), which would silently undo the downgrade audit.
-  template <bool kSeqCst>
   void worker_body(std::size_t tid);
   /// Execute one protocol step for this processor; returns true when the
   /// processor observed the final tick (it must not be visited again).
-  template <bool kSeqCst>
   bool visit(HostProc& vp);
   /// The Compute- and Copy-subphase halves of visit() for task i of step s,
   /// on visit()'s local copy of the processor.
-  template <bool kSeqCst>
   void compute_visit(HostProc& p, std::size_t s, std::size_t i,
                      std::uint32_t stamp);
-  template <bool kSeqCst>
   void copy_visit(HostProc& p, std::size_t s, std::size_t i,
                   std::uint32_t stamp);
-  template <bool kSeqCst>
   bool eval(HostProc& p, std::size_t s, std::size_t i, std::uint64_t& out);
   void record_error(std::size_t tid, const char* what);
   void audit_and_repair(HostExecResult& out);
@@ -322,8 +308,8 @@ struct HostRun {
 /// The retry policy for detected preemption damage: an attempt with
 /// lost_commits != 0 is untrusted, so run `program` again on seed
 /// cfg.seed + 1000 * attempt, up to 4 attempts.  Stops early at an
-/// audit-clean attempt, or at one that did not complete (a timeout or
-/// worker fault is reported, not retried).
+/// audit-clean attempt, or at one that did not complete (a timeout, a
+/// worker fault or a thread that could not start is reported, not retried).
 HostRun run_until_clean(const pram::Program& program, HostExecConfig cfg);
 
 }  // namespace apex::host

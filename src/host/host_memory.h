@@ -15,8 +15,7 @@
 // The virtualized executor (host_executor.cpp) downgrades protocol words to
 // relaxed/acq-rel orders — each downgrade carries a proof obligation at its
 // use site arguing why the weaker order cannot introduce any behavior a
-// legal oblivious adversary could not already produce — and offers a
-// seq_cst fidelity fallback (HostExecConfig::seq_cst).  The one property
+// legal oblivious adversary could not already produce.  The one property
 // every order shares, and the only one the word+stamp discipline consumes,
 // is per-word atomicity + coherence: a load returns some value previously
 // stored to THAT word, never a torn mix.

@@ -221,7 +221,7 @@ TEST(Muxes, FanOutToAllRegistered) {
     int steps = 0;
     void on_step(const sim::StepEvent&) override { ++steps; }
   } c, d;
-  StepObserverMux smux;
+  sim::CompositeObserver smux;
   smux.add(&c);
   smux.add(&d);
   sim::StepEvent ev;

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "agreement/testbed.h"
+#include "tests/address_cap.h"
 #include "util/table.h"
 
 namespace apex::batch {
@@ -164,6 +165,25 @@ TEST(SweepEngine, AllTrialsRunExactlyOnceAcrossWorkers) {
     ASSERT_EQ(results[i].samples().size(), 1u);
     EXPECT_EQ(results[i].samples()[0].second, static_cast<double>(i));
   }
+}
+
+TEST(SweepEngine, FailedWorkerSpawnStillRunsEveryTrial) {
+  // 64 workers need far more than 64 MB of stack, so under the cap some
+  // std::thread constructor throws.  Before the fix the pool was destroyed
+  // joinable: std::terminate.  Now the sweep stops spawning, the workers
+  // that started drain every trial, and the table is byte-identical.
+  if (test_support::kSanitized) GTEST_SKIP() << "needs the address space";
+  SweepSpec spec;
+  spec.trials = 64;
+  spec.jobs = 1;
+  const std::string serial =
+      render(SweepEngine().run_grouped(spec, arithmetic_trial, 8));
+  spec.jobs = 64;
+  const int status = test_support::exit_status_under_address_cap([&] {
+    const auto groups = SweepEngine().run_grouped(spec, arithmetic_trial, 8);
+    return render(groups) == serial ? 0 : 1;
+  });
+  EXPECT_EQ(status, 0) << "1: the table differs; -1: the child died";
 }
 
 TEST(SweepEngine, ZeroTrialsAndJobResolution) {

@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "pram/interp.h"
 #include "pram/workloads.h"
+#include "tests/address_cap.h"
 
 namespace apex::host {
 namespace {
@@ -153,6 +155,41 @@ TEST(HostExecutor, PackWidthOverflowAbortsCleanlyInsteadOfCrashing) {
   const auto res = ex.run();
   EXPECT_FALSE(res.completed);
   EXPECT_NE(res.error.find("40 bits"), std::string::npos) << res.error;
+}
+
+TEST(HostExecutor, FailedThreadSpawnAbortsCleanly) {
+  // 64 workers need far more than 64 MB of stack, so under the cap some
+  // std::thread constructor throws.  Before the fix the vector of started
+  // threads was destroyed joinable: std::terminate.  Now the run waves the
+  // started workers off, joins them and reports the failure.  The executor
+  // is built before the fork, so only the threads are short of memory.
+  if (test_support::kSanitized) GTEST_SKIP() << "needs the address space";
+  const pram::Program p = pram::find_workload("prefix")->make(64);
+  HostExecConfig cfg = make_cfg(34);
+  cfg.os_threads = 64;
+  HostExecutor ex(p, cfg);
+  const int status = test_support::exit_status_under_address_cap([&] {
+    const HostExecResult res = ex.run();
+    if (res.completed) return 1;
+    return res.error.find("cannot start") == 0 ? 0 : 2;
+  });
+  EXPECT_EQ(status, 0) << "1: every thread started; 2: another error; "
+                          "-1: the child died";
+}
+
+TEST(HostExecutor, TimeoutEndsTheAttemptWithoutAnError) {
+  // A phase of 6.4e10 clock updates cannot finish in 50 ms: the watchdog
+  // waves the workers off.  Nothing faulted, so the error stays empty, and
+  // run_until_clean reports the attempt instead of retrying it.
+  const pram::Program p = pram::find_workload("prefix")->make(64);
+  HostExecConfig cfg = make_cfg(35);
+  cfg.os_threads = 2;
+  cfg.clock_alpha = 1e9;
+  cfg.timeout_seconds = 0.05;
+  const HostRun run = run_until_clean(p, cfg);
+  EXPECT_FALSE(run.result.completed);
+  EXPECT_EQ(run.result.error, "");
+  EXPECT_EQ(run.attempts, 1);
 }
 
 TEST(HostExecutor, ValuesJustBelowPackWidthSurvive) {

@@ -7,8 +7,8 @@
 //   * oversubscription in both directions (T > cores, os_threads > P) is
 //     legal — os_threads clamps to P, a worker needs a processor to drive —
 //     and the default (0) is the hardware thread count, not T = P;
-//   * every interleave policy and the seq_cst fidelity fallback produce
-//     audit-clean, invariant-satisfying runs;
+//   * both slicings (equal-count and weight-balanced, even with a slice
+//     left empty) produce audit-clean, reference-exact runs;
 //   * the post-join repair pass re-commits an audited-stale slot from its
 //     writer's bin (and honestly reports an unrepairable one).
 #include "host/host_executor.h"
@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -116,28 +117,38 @@ TEST(HostVirtual, OsThreadsClampedToProcessorCount) {
 }
 
 TEST(HostVirtual, InterleavePoliciesAllProduceValidRuns) {
+  // Equal-count slices; the weight-balanced ones the graph benchmark runs,
+  // fed the workload's own per-processor weights; and weights that leave a
+  // slice empty (all on the last processor: graph::partition_balanced puts
+  // every processor in worker 1's slice, and worker 0 finishes at once).
   const auto* spec = pram::find_workload("spmv");
-  const pram::Program p = spec->make(16);
-  for (const Interleave policy :
-       {Interleave::kRoundRobin, Interleave::kRandom, Interleave::kBlock}) {
-    SCOPED_TRACE(interleave_name(policy));
+  const pram::Program p = spec->make(64);
+  std::vector<std::uint64_t> last_only(p.nthreads(), 0);
+  last_only.back() = 1;
+  const struct {
+    Interleave policy;
+    std::vector<std::uint64_t> weights;
+  } cases[] = {{Interleave::kRoundRobin, {}},
+               {Interleave::kPartition, spec->proc_weights(64)},
+               {Interleave::kPartition, last_only}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(::testing::Message() << interleave_name(c.policy) << " "
+                                      << &c - cases);
     HostExecConfig cfg = virt_cfg(95, 2);
-    cfg.interleave = policy;
-    HostExecutor ex(p, cfg);
-    const auto res = ex.run();
-    expect_matches_reference("spmv", 16, res);
+    cfg.interleave = c.policy;
+    cfg.proc_weights = c.weights;
+    expect_matches_reference("spmv", 64, HostExecutor(p, cfg).run());
   }
 }
 
-TEST(HostVirtual, SeqCstFidelityFallback) {
-  // --seq-cst restores the pre-virtualization memory discipline; results
-  // must be just as clean (it is strictly stronger ordering).
-  const auto* spec = pram::find_workload("spmv");
-  const pram::Program p = spec->make(16);
+TEST(HostVirtual, ProcWeightsMustHaveOneEntryPerProcessor) {
+  const pram::Program p = pram::find_workload("spmv")->make(64);
   HostExecConfig cfg = virt_cfg(96, 2);
-  cfg.seq_cst = true;
-  HostExecutor ex(p, cfg);
-  expect_matches_reference("spmv", 16, ex.run());
+  cfg.interleave = Interleave::kPartition;
+  cfg.proc_weights.assign(p.nthreads() - 1, 1);
+  EXPECT_THROW(HostExecutor(p, cfg), std::invalid_argument);
+  cfg.proc_weights.assign(p.nthreads() + 1, 1);
+  EXPECT_THROW(HostExecutor(p, cfg), std::invalid_argument);
 }
 
 TEST(HostVirtual, ZeroStepProgramCompletesImmediately) {
@@ -160,10 +171,11 @@ TEST(HostVirtual, ParseInterleave) {
   EXPECT_EQ(out, Interleave::kRoundRobin);
   EXPECT_TRUE(parse_interleave("round_robin", out));
   EXPECT_EQ(out, Interleave::kRoundRobin);
-  EXPECT_TRUE(parse_interleave("random", out));
-  EXPECT_EQ(out, Interleave::kRandom);
-  EXPECT_TRUE(parse_interleave("block", out));
-  EXPECT_EQ(out, Interleave::kBlock);
+  EXPECT_TRUE(parse_interleave("partition", out));
+  EXPECT_EQ(out, Interleave::kPartition);
+  // The per-visit orders are gone: every slice is walked by one sweep.
+  EXPECT_FALSE(parse_interleave("random", out));
+  EXPECT_FALSE(parse_interleave("block", out));
   EXPECT_FALSE(parse_interleave("zigzag", out));
 }
 

@@ -45,13 +45,13 @@ char** fake_argv(std::vector<std::string>& store) {
 
 TEST(ParseArgv, SplitsFlagsAndPositionals) {
   std::vector<std::string> v = {"apexcli", "exec", "--n=8", "file.pram",
-                                "--seq-cst"};
+                                "--csv"};
   const ParsedArgs a = parse_argv(static_cast<int>(v.size()), fake_argv(v));
   EXPECT_EQ(a.cmd, "exec");
   ASSERT_EQ(a.positional.size(), 1u);
   EXPECT_EQ(a.positional[0], "file.pram");
   EXPECT_EQ(a.kv.at("n"), "8");
-  EXPECT_EQ(a.kv.at("seq-cst"), "1");  // bare flag -> "1"
+  EXPECT_EQ(a.kv.at("csv"), "1");  // bare flag -> "1"
 }
 
 TEST(ParseArgv, EmptyArgv) {

@@ -14,12 +14,11 @@
 //       invariants.  --engine=host runs it on the virtualized real-thread
 //       executor instead of the simulator: P = n logical processors on
 //       --threads OS threads (default: the hardware threads, at most P),
-//       --interleave=rr|random|block|partition (partition = weight-balanced
-//       placement from the workload's reported per-processor weights),
-//       --alpha=N clock updates per tick, --seq-cst for the fidelity
-//       memory-order fallback — which is how the large registry instances
-//       (n = 64/128, and the graph-scale 1e4/1e5 CSR kernels) run on a
-//       laptop.  A run with unrepairable preemption damage is retried on a
+//       --interleave=rr|partition (equal-count or weight-balanced slices;
+//       partition takes the workload's reported per-processor weights),
+//       --alpha=N clock updates per tick — which is how the large registry
+//       instances (n = 64/128, and the graph-scale 1e4/1e5 CSR kernels) run
+//       on a laptop.  A run with unrepairable preemption damage is retried on a
 //       fresh seed (host::run_until_clean).
 //
 //   apexcli host   [--threads=4] [--seed=1]
@@ -51,15 +50,14 @@
 //       grid runs registered PRAM workloads through the full execution
 //       scheme (regular vs irregular kernels), so data-dependent
 //       throughput is on the trajectory too.  A third grid (`host_rows`)
-//       runs the virtualized host executor over T x P x interleave x
-//       memory-order configurations — including the P = 64/128 registry
-//       scale instances — so the real-thread scaling story is measured,
-//       not asserted.  A fourth grid (`graph_rows`) runs the CSR-backed
-//       graph kernels at n = 1e4 under partition-aware vs round-robin
-//       placement; the within-run placement ratio is part of the CI hard
-//       gate.  Results are printed as tables and dumped to a JSON
-//       file that CI archives as the repo's perf trajectory (soft-gated
-//       against the committed baseline).
+//       runs the virtualized host executor over T x P configurations —
+//       including the P = 64/128 registry scale instances — so the
+//       real-thread scaling story is measured, not asserted.  A fourth
+//       grid (`graph_rows`) runs the CSR-backed graph kernels at n = 1e4
+//       under partition-aware vs round-robin placement; the within-run
+//       placement ratio is part of the CI hard gate.  Results are printed
+//       as tables and dumped to a JSON file that CI archives as the repo's
+//       perf trajectory (soft-gated against the committed baseline).
 //
 //   apexcli sched
 //       list the adversary schedule family.
@@ -184,11 +182,10 @@ host::HostExecConfig host_config(const Args& a, const pram::WorkloadSpec* spec,
   cfg.os_threads = a.u64("threads", cfg.os_threads);
   cfg.clock_alpha = static_cast<double>(
       a.u64("alpha", static_cast<std::uint64_t>(cfg.clock_alpha)));
-  cfg.seq_cst = a.kv.count("seq-cst") != 0;
   cfg.timeout_seconds = 300.0;
   cfg.generations = a.u64("generations", cfg.generations);
   if (!host::parse_interleave(a.str("interleave", "rr"), cfg.interleave)) {
-    std::fprintf(stderr, "unknown --interleave (rr|random|block|partition)\n");
+    std::fprintf(stderr, "unknown --interleave (rr|partition)\n");
     std::exit(2);
   }
   if (cfg.interleave == host::Interleave::kPartition) {
@@ -196,7 +193,7 @@ host::HostExecConfig host_config(const Args& a, const pram::WorkloadSpec* spec,
       std::fprintf(stderr,
                    "--interleave=partition needs per-processor weights, "
                    "which only the registry graph workloads report; use "
-                   "rr|random|block\n");
+                   "rr\n");
       std::exit(2);
     }
     cfg.proc_weights = spec->proc_weights(n);
@@ -214,10 +211,9 @@ std::optional<std::vector<pram::Word>> run_engine(
   const std::string engine = a.str("engine", "batched");
   if (engine == "host") {
     const host::HostExecConfig cfg = host_config(a, spec, n);
-    std::printf("  T=%zu interleave=%s order=%s alpha=%g\n",
+    std::printf("  T=%zu interleave=%s alpha=%g\n",
                 host::resolve_os_threads(cfg.os_threads, p.nthreads()),
-                host::interleave_name(cfg.interleave),
-                cfg.seq_cst ? "seq_cst" : "acq_rel", cfg.clock_alpha);
+                host::interleave_name(cfg.interleave), cfg.clock_alpha);
     host::HostRun run;
     try {
       run = host::run_until_clean(p, cfg);
@@ -444,6 +440,9 @@ int cmd_host(const Args& a) {
               res.lost_commits, ok, procs,
               static_cast<unsigned long long>(res.total_work),
               res.wall_seconds);
+  if (!res.completed)
+    std::printf("  aborted: %s\n",
+                res.error.empty() ? "timeout" : res.error.c_str());
   return res.completed && res.lost_commits == 0 && ok == procs ? 0 : 1;
 }
 
@@ -665,17 +664,26 @@ WorkloadPerfRow run_workload_perf(const char* name, std::size_t n, int reps) {
 }
 
 /// Host-substrate throughput: a registered workload through the virtualized
-/// HostExecutor (P = n logical processors on T OS threads).  Best-of-reps
-/// wall clock; rows land in BENCH_core.json as `host_rows`, putting the
-/// scaling half of the benchmark story on the same committed trajectory as
-/// the simulator core.
-struct HostPerfRow {
+/// HostExecutor (P = n logical processors on T OS threads; the graph kernels
+/// put n vertices on P = min(n, 4096)), run through host::run_until_clean
+/// and the workload's check, best-of-reps wall clock on seeds seed, seed+1,
+/// ...  Two grids land in BENCH_core.json: `host_rows`, the registry
+/// instances up to the P = 64/128 scale ones, and `graph_rows`, each CSR
+/// kernel at n = 1e4 under partition AND rr placement in the same
+/// invocation, so the rows carry a machine-relative within-run ratio
+/// (partition / rr work-per-sec) that CI hard-gates alongside the engine
+/// ratios.
+struct HostPerfPoint {
   const char* workload;
-  std::size_t n;        ///< P.
+  std::size_t n;
   std::size_t threads;  ///< T.
-  const char* policy;
-  const char* order;
+  host::Interleave il;
   double alpha;
+  std::size_t generations;
+};
+
+struct HostPerfRow {
+  HostPerfPoint pt;
   bool completed;
   bool ok;
   std::uint64_t work;
@@ -685,23 +693,22 @@ struct HostPerfRow {
   double work_per_sec;
 };
 
-HostPerfRow run_host_perf(const char* name, std::size_t n, std::size_t T,
-                          host::Interleave il, bool seq_cst, double alpha,
+HostPerfRow run_host_perf(const HostPerfPoint& pt, std::uint64_t seed,
                           int reps) {
-  const pram::WorkloadSpec* spec = pram::find_workload(name);
-  const pram::Program p = spec->make(n);
-  HostPerfRow r{name,  n,    T,    host::interleave_name(il),
-                seq_cst ? "seq_cst" : "acq_rel", alpha, true, true,
-                0,     0,    0,    0.0,  0.0};
+  const pram::WorkloadSpec* spec = pram::find_workload(pt.workload);
+  const pram::Program p = spec->make(pt.n);
+  HostPerfRow r{pt, true, true, 0, 0, 0, 0.0, 0.0};
+  host::HostExecConfig cfg;
+  cfg.os_threads = pt.threads;
+  cfg.interleave = pt.il;
+  cfg.clock_alpha = pt.alpha;
+  cfg.generations = pt.generations;
+  cfg.timeout_seconds = 600.0;
+  if (pt.il == host::Interleave::kPartition && spec->proc_weights != nullptr)
+    cfg.proc_weights = spec->proc_weights(pt.n);
   bool timed = false;
   for (int rep = 0; rep < reps; ++rep) {
-    host::HostExecConfig cfg;
-    cfg.seed = 1 + static_cast<std::uint64_t>(rep);
-    cfg.os_threads = T;
-    cfg.interleave = il;
-    cfg.seq_cst = seq_cst;
-    cfg.clock_alpha = alpha;
-    cfg.timeout_seconds = 300.0;
+    cfg.seed = seed + static_cast<std::uint64_t>(rep);
     // Detected preemption damage is counted on the row, but an untrusted
     // attempt may neither win the best-of-reps slot nor latch the row
     // not-ok: run_until_clean retries it.
@@ -715,69 +722,12 @@ HostPerfRow run_host_perf(const char* name, std::size_t n, std::size_t T,
       continue;
     }
     std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-    r.ok &= spec->check(n, mem).empty();
+    r.ok &= spec->check(pt.n, mem).empty();
     if (!timed || res.wall_seconds < r.seconds) {
       r.seconds = res.wall_seconds;
       r.work = res.total_work;
       timed = true;
     }
-  }
-  r.work_per_sec =
-      r.seconds > 0 ? static_cast<double>(r.work) / r.seconds : 0.0;
-  return r;
-}
-
-/// Graph-scale throughput: the CSR-backed kernels at registry scale
-/// (n = 1e4 — thousands of logical processors walking partitioned CSR row
-/// slices via dynamic-window gathers) on the virtualized host executor.
-/// Each workload runs under partition-aware placement AND round-robin in
-/// the same invocation, so the emitted `graph_rows` carry a
-/// machine-relative within-run ratio (partition / rr work-per-sec) that CI
-/// hard-gates alongside the engine ratios.  Single run per config (these
-/// are long, honest protocol executions) through host::run_until_clean,
-/// like the host rows.
-struct GraphPerfRow {
-  const char* workload;
-  std::size_t n;
-  std::size_t threads;
-  const char* policy;
-  bool completed;
-  bool ok;
-  std::uint64_t work;
-  std::size_t lost;
-  std::size_t repaired;
-  double seconds;
-  double work_per_sec;
-};
-
-GraphPerfRow run_graph_perf(const char* name, std::size_t n, std::size_t T,
-                            host::Interleave il) {
-  const pram::WorkloadSpec* spec = pram::find_workload(name);
-  const pram::Program p = spec->make(n);
-  GraphPerfRow r{name, n,    T,   host::interleave_name(il),
-                 true, true, 0,   0,
-                 0,    0.0,  0.0};
-  host::HostExecConfig cfg;
-  cfg.seed = 41;
-  cfg.os_threads = T;
-  cfg.interleave = il;
-  cfg.clock_alpha = 32.0;  // virtualized graph operating point
-  cfg.generations = 6;
-  cfg.timeout_seconds = 600.0;
-  if (il == host::Interleave::kPartition && spec->proc_weights != nullptr)
-    cfg.proc_weights = spec->proc_weights(n);
-  const host::HostRun run = host::run_until_clean(p, cfg);
-  const host::HostExecResult& res = run.result;
-  r.completed = res.completed;
-  r.lost = run.lost_commits;
-  r.repaired = run.repaired_commits;
-  if (res.completed && res.lost_commits == 0) {
-    std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-    r.ok = spec->check(n, mem).empty();
-    r.seconds = res.wall_seconds;
-    r.work = res.total_work;
-  } else {
-    r.ok = false;
   }
   r.work_per_sec =
       r.seconds > 0 ? static_cast<double>(r.work) / r.seconds : 0.0;
@@ -822,46 +772,35 @@ int cmd_perfbench(const Args& a) {
   for (const auto& [name, n] : wl_grid)
     wl_rows.push_back(run_workload_perf(name, n, reps));
 
-  // Host rows: the virtualized executor's T x P x policy x order grid.
-  // The committed host_pre_virtualization block keeps the one-thread-per-
-  // processor shape's numbers; the P = 64 rows are the scaling
-  // configurations that shape never ran.
+  // Host rows: the virtualized executor's T x P grid.  The committed
+  // host_pre_virtualization block keeps the one-thread-per-processor
+  // shape's numbers; the P = 64 rows are the scaling configurations that
+  // shape never ran.
   const std::size_t hw = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
-  struct HostPoint {
-    const char* wl;
-    std::size_t n, T;
-    host::Interleave il;
-    bool seq_cst;
-    double alpha;
-  };
-  const auto kBlk = host::Interleave::kBlock;
   const auto kRR = host::Interleave::kRoundRobin;
-  std::vector<HostPoint> host_grid = {
-      {"prefix", 8, std::min<std::size_t>(hw, 8), kBlk, false, 4096.0},
-      {"spmv", 64, 2, kBlk, false, 48.0},
-      {"spmv", 64, 2, kBlk, true, 48.0},                  // fidelity fallback
+  std::vector<HostPerfPoint> host_grid = {
+      {"prefix", 8, std::min<std::size_t>(hw, 8), kRR, 4096.0, 4},
+      {"spmv", 64, 2, kRR, 48.0, 4},
   };
   if (!quick) {
-    host_grid.push_back({"spmv", 64, 2, kRR, false, 48.0});
-    host_grid.push_back({"spmv", 64, 2, host::Interleave::kRandom, false,
-                         48.0});
-    host_grid.push_back({"bfs", 64, 2, kBlk, false, 48.0});
-    host_grid.push_back({"dag", 64, 2, kBlk, false, 48.0});
-    host_grid.push_back({"spmv", 128, 4, kBlk, false, 48.0});
-    host_grid.push_back({"bfs", 128, 4, kBlk, false, 48.0});
+    host_grid.push_back({"bfs", 64, 2, kRR, 48.0, 4});
+    host_grid.push_back({"dag", 64, 2, kRR, 48.0, 4});
+    host_grid.push_back({"spmv", 128, 4, kRR, 48.0, 4});
+    host_grid.push_back({"bfs", 128, 4, kRR, 48.0, 4});
   }
   std::vector<HostPerfRow> host_rows;
   for (const auto& pt : host_grid)
-    host_rows.push_back(
-        run_host_perf(pt.wl, pt.n, pt.T, pt.il, pt.seq_cst, pt.alpha, reps));
+    host_rows.push_back(run_host_perf(pt, 1, reps));
 
   // Graph-scale rows: each CSR kernel at n = 1e4 under partition-aware
-  // placement vs round-robin (the within-run ratio CI hard-gates).
-  std::vector<GraphPerfRow> graph_rows;
+  // placement vs round-robin (the within-run ratio CI hard-gates), one run
+  // each at the virtualized graph operating point (alpha = 32, G = 6).
+  std::vector<HostPerfRow> graph_rows;
   for (const char* gname : {"bfs", "spmv"})
-    for (auto il : {host::Interleave::kPartition, host::Interleave::kRoundRobin})
-      graph_rows.push_back(run_graph_perf(gname, 10'000, 2, il));
+    for (auto il : {host::Interleave::kPartition, kRR})
+      graph_rows.push_back(
+          run_host_perf({gname, 10'000, 2, il, 32.0, 6}, 41, 1));
 
   Table t({"sched", "n", "observer", "engine", "steps", "sec", "steps/sec"});
   for (const auto& r : rows)
@@ -884,38 +823,27 @@ int cmd_perfbench(const Args& a) {
         .cell(r.work)
         .cell(r.seconds, 3)
         .cell(r.work_per_sec, 0);
-  Table ht({"workload", "P", "T", "policy", "order", "alpha", "completed",
-            "invariants", "lost", "repaired", "work", "sec", "work/sec"});
-  for (const auto& r : host_rows)
-    ht.row()
-        .cell(r.workload)
-        .cell(static_cast<std::uint64_t>(r.n))
-        .cell(static_cast<std::uint64_t>(r.threads))
-        .cell(r.policy)
-        .cell(r.order)
-        .cell(r.alpha, 0)
-        .cell(r.completed ? "yes" : "NO")
-        .cell(r.ok ? "ok" : "VIOLATED")
-        .cell(static_cast<std::uint64_t>(r.lost))
-        .cell(static_cast<std::uint64_t>(r.repaired))
-        .cell(r.work)
-        .cell(r.seconds, 3)
-        .cell(r.work_per_sec, 0);
-  Table gt({"workload", "n", "T", "policy", "completed", "invariants",
-            "lost", "repaired", "work", "sec", "work/sec"});
-  for (const auto& r : graph_rows)
-    gt.row()
-        .cell(r.workload)
-        .cell(static_cast<std::uint64_t>(r.n))
-        .cell(static_cast<std::uint64_t>(r.threads))
-        .cell(r.policy)
-        .cell(r.completed ? "yes" : "NO")
-        .cell(r.ok ? "ok" : "VIOLATED")
-        .cell(static_cast<std::uint64_t>(r.lost))
-        .cell(static_cast<std::uint64_t>(r.repaired))
-        .cell(r.work)
-        .cell(r.seconds, 3)
-        .cell(r.work_per_sec, 0);
+  const auto host_table = [](const std::vector<HostPerfRow>& hrows) {
+    Table t({"workload", "n", "T", "policy", "alpha", "completed",
+             "invariants", "lost", "repaired", "work", "sec", "work/sec"});
+    for (const auto& r : hrows)
+      t.row()
+          .cell(r.pt.workload)
+          .cell(static_cast<std::uint64_t>(r.pt.n))
+          .cell(static_cast<std::uint64_t>(r.pt.threads))
+          .cell(host::interleave_name(r.pt.il))
+          .cell(r.pt.alpha, 0)
+          .cell(r.completed ? "yes" : "NO")
+          .cell(r.ok ? "ok" : "VIOLATED")
+          .cell(static_cast<std::uint64_t>(r.lost))
+          .cell(static_cast<std::uint64_t>(r.repaired))
+          .cell(r.work)
+          .cell(r.seconds, 3)
+          .cell(r.work_per_sec, 0);
+    return t;
+  };
+  const Table ht = host_table(host_rows);
+  const Table gt = host_table(graph_rows);
   if (a.kv.count("csv")) {
     t.print_csv(std::cout);
     wt.print_csv(std::cout);
@@ -933,12 +861,12 @@ int cmd_perfbench(const Args& a) {
     gt.print(std::cout);
   }
   for (const auto& b : graph_rows) {
-    if (std::string(b.policy) != "partition") continue;
+    if (b.pt.il != host::Interleave::kPartition) continue;
     for (const auto& s : graph_rows)
-      if (std::string(s.workload) == b.workload && s.n == b.n &&
-          std::string(s.policy) == "rr" && s.work_per_sec > 0)
+      if (std::string(s.pt.workload) == b.pt.workload && s.pt.n == b.pt.n &&
+          s.pt.il == kRR && s.work_per_sec > 0)
         std::printf("graph %s n=%zu: partition/rr placement ratio %.2fx\n",
-                    b.workload, b.n, b.work_per_sec / s.work_per_sec);
+                    b.pt.workload, b.pt.n, b.work_per_sec / s.work_per_sec);
   }
 
   // Engine speedup on the headline configuration (round_robin, observer
@@ -1109,35 +1037,29 @@ int cmd_perfbench(const Args& a) {
         << (i + 1 < wl_rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
-  out << "  \"host_rows\": [\n";
-  for (std::size_t i = 0; i < host_rows.size(); ++i) {
-    const auto& r = host_rows[i];
-    std::snprintf(buf, sizeof buf, "%.1f", r.work_per_sec);
-    out << "    {\"workload\": \"" << r.workload << "\", \"n\": " << r.n
-        << ", \"threads\": " << r.threads << ", \"policy\": \"" << r.policy
-        << "\", \"order\": \"" << r.order << "\", \"alpha\": " << r.alpha
-        << ", \"completed\": " << (r.completed ? "true" : "false")
-        << ", \"invariants_ok\": " << (r.ok ? "true" : "false")
-        << ", \"lost_commits\": " << r.lost
-        << ", \"repaired_commits\": " << r.repaired
-        << ", \"work\": " << r.work << ", \"work_per_sec\": " << buf << "}"
-        << (i + 1 < host_rows.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-  out << "  \"graph_rows\": [\n";
-  for (std::size_t i = 0; i < graph_rows.size(); ++i) {
-    const auto& r = graph_rows[i];
-    std::snprintf(buf, sizeof buf, "%.1f", r.work_per_sec);
-    out << "    {\"workload\": \"" << r.workload << "\", \"n\": " << r.n
-        << ", \"threads\": " << r.threads << ", \"policy\": \"" << r.policy
-        << "\", \"completed\": " << (r.completed ? "true" : "false")
-        << ", \"invariants_ok\": " << (r.ok ? "true" : "false")
-        << ", \"lost_commits\": " << r.lost
-        << ", \"repaired_commits\": " << r.repaired
-        << ", \"work\": " << r.work << ", \"work_per_sec\": " << buf << "}"
-        << (i + 1 < graph_rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
+  const auto write_host_rows = [&](const char* key,
+                                  const std::vector<HostPerfRow>& hrows) {
+    out << "  \"" << key << "\": [\n";
+    for (std::size_t i = 0; i < hrows.size(); ++i) {
+      const auto& r = hrows[i];
+      std::snprintf(buf, sizeof buf, "%.1f", r.work_per_sec);
+      out << "    {\"workload\": \"" << r.pt.workload << "\", \"n\": "
+          << r.pt.n << ", \"threads\": " << r.pt.threads
+          << ", \"policy\": \"" << host::interleave_name(r.pt.il)
+          << "\", \"alpha\": " << r.pt.alpha
+          << ", \"completed\": " << (r.completed ? "true" : "false")
+          << ", \"invariants_ok\": " << (r.ok ? "true" : "false")
+          << ", \"lost_commits\": " << r.lost
+          << ", \"repaired_commits\": " << r.repaired
+          << ", \"work\": " << r.work << ", \"work_per_sec\": " << buf
+          << "}" << (i + 1 < hrows.size() ? "," : "") << "\n";
+    }
+    out << "  ]";
+  };
+  write_host_rows("host_rows", host_rows);
+  out << ",\n";
+  write_host_rows("graph_rows", graph_rows);
+  out << "\n}\n";
   std::printf("wrote %s (%zu core + %zu workload + %zu host + %zu graph "
               "configs)\n",
               out_path.c_str(), rows.size(), wl_rows.size(),
@@ -1249,7 +1171,7 @@ const std::vector<CmdContract>& command_contracts() {
       {"agree", {"n", "sched", "seed", "beta"}, 0},
       {"exec",
        {"workload", "n", "scheme", "sched", "seed", "engine", "threads",
-        "interleave", "alpha", "generations", "seq-cst"},
+        "interleave", "alpha", "generations"},
        1},  // the optional positional is a .pram source file
       {"compile", {}, 1},
       {"emit", {"workload", "n"}, 0},
@@ -1273,10 +1195,9 @@ int usage(const std::string& cmd) {
       "  agree --n=64 --sched=uniform --seed=1 --beta=8\n"
       "  exec  --workload=NAME --n=8 --scheme=nondet|det --sched=uniform\n"
       "        --seed=1 --engine=batched|single_step|host\n"
-      "        (host engine: --threads=T "
-      "--interleave=rr|random|block|partition\n"
-      "         --alpha=N --generations=G --seq-cst; T=0 = hardware\n"
-      "         threads, at most P; partition uses the workload's reported\n"
+      "        (host engine: --threads=T --interleave=rr|partition\n"
+      "         --alpha=N --generations=G; T=0 = hardware threads, at\n"
+      "         most P; partition uses the workload's reported\n"
       "         per-processor weights)\n"
       "        (workloads: %s)\n"
       "  exec  FILE.pram [--engine=...] [--sched=...] [--seed=1]\n"
