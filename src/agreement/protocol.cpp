@@ -1,126 +1,53 @@
 #include "agreement/protocol.h"
 
-#include <stdexcept>
-
-#include "check/mutation.h"
-#include "sim/simulator.h"
-
 namespace apex::agreement {
-
-namespace detail {
-
-/// Maintains lo = highest index observed filled (or -1) and hi = lowest
-/// index observed empty (or B); the range [lo, hi] halves deterministically,
-/// so the probe count depends only on B, never on contents.
-sim::SubTask<std::size_t> search_first_empty(sim::Ctx& ctx, const BinArray& bins,
-                                             std::size_t bin, sim::Word phase) {
-  const std::size_t b = bins.cells_per_bin();
-  const std::size_t probes = ceil_log2(b + 1);
-  std::ptrdiff_t lo = -1;
-  std::ptrdiff_t hi = static_cast<std::ptrdiff_t>(b);
-  // Exactly `probes` reads on every invocation (§3 "Work Per Cycle" needs
-  // cycle cost independent of contents): once the range is resolved, the
-  // remaining probes re-read cell 0 as padding.
-  for (std::size_t k = 0; k < probes; ++k) {
-    if (hi - lo > 1) {
-      const std::ptrdiff_t mid = lo + (hi - lo) / 2;
-      const sim::Cell c =
-          co_await ctx.read(bins.addr(bin, static_cast<std::size_t>(mid)));
-      if (c.stamp == phase)
-        lo = mid;
-      else
-        hi = mid;
-    } else {
-      co_await ctx.read(bins.addr(bin, 0));
-    }
-  }
-  co_return static_cast<std::size_t>(hi);
-}
-
-}  // namespace detail
 
 sim::SubTask<void> agreement_cycle(sim::Ctx& ctx, AgreementRuntime& rt,
                                    sim::Word phase) {
   const BinArray& bins = *rt.bins;
-  const std::size_t b = bins.cells_per_bin();
-  const std::uint64_t omega = rt.cfg.omega();
   const std::uint64_t start_steps = ctx.steps();
-
-  CycleRecord rec;
-  rec.proc = ctx.id();
-  rec.phase = phase;
-  rec.s_time = ctx.simulator().total_work();
+  CycleRecord rec = open_cycle(ctx, phase);
 
   // Line 1: choose a bin uniformly at random (one local step: the draw).
-  const std::size_t i = static_cast<std::size_t>(ctx.rng().below(bins.bins()));
+  const std::size_t i = draw_bin(ctx, bins);
   co_await ctx.local();
   rec.bin = i;
 
   // Lines 2-4: binary search for the first empty cell.
-  const std::size_t j = co_await detail::search_first_empty(ctx, bins, i, phase);
+  BinSearch search(bins, i, phase);
+  while (search.searching()) {
+    const sim::Cell c = co_await ctx.read(search.probe());
+    search.observe(c);
+  }
+  const std::size_t j = search.first_empty();
   rec.d_time = ctx.simulator().total_work();
 
-  // Self-test mutation (check/mutation.h): a processor that stops
-  // refreshing its write timestamp once the clock has ticked.
-  sim::Word write_stamp = phase;
-  if (check::mutation_enabled(check::Mutation::kStaleStamp) && phase > 1)
-    write_stamp = phase - 1;
-
+  const sim::Word stamp = write_stamp(phase);
   if (j == 0) {
     // Line 5-9: first cell empty — evaluate f_i^(π); write it unless the
     // evaluation could not complete (operand unavailable).
     const TaskResult v = co_await rt.task(ctx, i, phase);
     if (v.has_value()) {
-      co_await ctx.write(bins.addr(i, 0), *v, write_stamp);
+      co_await ctx.write(bins.addr(i, 0), *v, stamp);
       rec.wrote_cell = 0;
       rec.wrote_value = *v;
       rec.evaluated_f = true;
     }
-  } else if (j < b) {
-    // Lines 10-11: copy forward from the previous cell.  Re-read it: the
-    // search observed it filled, but it may have been clobbered since; a
-    // stale value must never be given a current stamp.
+  } else if (j < bins.cells_per_bin()) {
+    // Lines 10-11: copy forward from the previous cell, re-read.
     const sim::Cell prev = co_await ctx.read(bins.addr(i, j - 1));
-    if (prev.stamp == phase) {
-      sim::Word v = prev.value;
-      if (check::mutation_enabled(check::Mutation::kCopyOffByOne)) v += 1;
-      co_await ctx.write(bins.addr(i, j), v, write_stamp);
+    if (const auto v = copy_forward(prev, phase)) {
+      co_await ctx.write(bins.addr(i, j), *v, stamp);
       rec.wrote_cell = static_cast<int>(j);
-      rec.wrote_value = v;
+      rec.wrote_value = *v;
     }
   }
-  // j == b: bin already full; nothing to write.
+  // j == B: bin already full; nothing to write.
 
-  // Pad with no-ops so every cycle costs exactly ω steps regardless of the
-  // branch taken (§3 "Work Per Cycle").
-  if (ctx.steps() - start_steps > omega)
-    throw std::logic_error("agreement_cycle: omega underestimates cycle cost");
-  while (ctx.steps() - start_steps < omega) co_await ctx.local();
-
-  rec.f_time = ctx.simulator().total_work();
-  if (rt.observer != nullptr) {
-    // Out-of-band protocol event: deliver buffered step events first, so an
-    // observer consuming both streams (e.g. ClockOracle) sees them
-    // interleaved exactly as the single-step engine interleaves them.
-    ctx.simulator().flush_observers();
-    rt.observer->on_cycle(rec);
-  }
-  co_return;
-}
-
-sim::SubTask<std::optional<sim::Word>> read_agreed(sim::Ctx& ctx,
-                                                   const BinArray& bins,
-                                                   std::size_t i,
-                                                   sim::Word phase) {
-  // Scan the upper half and stop at the first filled cell.  Once
-  // accessibility holds, at least half these cells are filled, so the
-  // expected probe count is O(1); the worst case (nothing found) is B/2
-  // reads and returns nullopt, letting the caller retry later.
-  for (std::size_t j = bins.upper_half_begin(); j < bins.cells_per_bin(); ++j) {
-    const sim::Cell c = co_await ctx.read(bins.addr(i, j));
-    if (c.stamp == phase) co_return std::optional<sim::Word>{c.value};
-  }
-  co_return std::optional<sim::Word>{};
+  for (std::uint64_t k = pad_steps(ctx.steps() - start_steps, rt.cfg.omega());
+       k != 0; --k)
+    co_await ctx.local();
+  close_cycle(ctx, rt.observer, rec);
 }
 
 sim::ProcTask agreement_proc(sim::Ctx& ctx, AgreementRuntime& rt) {
@@ -138,7 +65,7 @@ sim::ProcTask agreement_proc(sim::Ctx& ctx, AgreementRuntime& rt) {
       if (new_phase != phase) {
         phase = new_phase;
         if (rt.observer != nullptr) {
-          ctx.simulator().flush_observers();  // see on_cycle below
+          ctx.simulator().flush_observers();  // see close_cycle
           rt.observer->on_phase_enter(ctx.id(), phase);
         }
       }

@@ -19,13 +19,17 @@
 // (Theorem 1).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 
 #include "agreement/bin_array.h"
+#include "check/mutation.h"
 #include "clock/phase_clock.h"
 #include "sim/proc.h"
+#include "sim/simulator.h"
 #include "sim/subtask.h"
 
 namespace apex::agreement {
@@ -99,34 +103,177 @@ struct AgreementRuntime {
 };
 
 /// One cycle of the agreement procedure (Fig. 2), at phase estimate `phase`.
-/// Costs exactly cfg.omega() atomic steps.
+/// Costs exactly cfg.omega() atomic steps.  One coroutine frame: only f
+/// (rt.task) is a nested SubTask.
 sim::SubTask<void> agreement_cycle(sim::Ctx& ctx, AgreementRuntime& rt,
                                    sim::Word phase);
 
-/// Obtain agreement value NewVal[i]: scan the upper half of Bin_i and
-/// return the first filled value (paper §3 "Obtaining the agreement
-/// values").  Expected O(1) probes once Accessibility holds (at least half
-/// the scanned cells are filled); at most B − ⌊B/2⌋ reads when the bin is
-/// not ready, in which case nullopt is returned and the caller retries.
-sim::SubTask<std::optional<sim::Word>> read_agreed(sim::Ctx& ctx,
-                                                   const BinArray& bins,
-                                                   std::size_t i,
-                                                   sim::Word phase);
-
 /// The standalone driver (§3): loop cycles forever; every lg n cycles,
 /// invoke Update-Clock and re-read the Phase Clock (phase = tick + 1).
-/// Used by the Theorem 1 / Lemma benches; the full execution scheme embeds
-/// cycles in its own driver (src/exec).
+/// Used by the Theorem 1 / Lemma benches; the full execution scheme runs
+/// the same cycle inline in its own driver (src/exec).
 sim::ProcTask agreement_proc(sim::Ctx& ctx, AgreementRuntime& rt);
 
-namespace detail {
-/// Binary search (Fig. 2 lines 2-4) for the first empty cell of `bin` at
-/// `phase`.  Exactly ⌈log2(B+1)⌉ probe reads, independent of contents.
-/// With holes present the result may land on a hole rather than the true
-/// frontier, exactly as the paper's analysis allows.  Exposed for tests.
-sim::SubTask<std::size_t> search_first_empty(sim::Ctx& ctx,
-                                             const BinArray& bins,
-                                             std::size_t bin, sim::Word phase);
-}  // namespace detail
+// ---- One cycle's decisions, for drivers that inline the cycle -------------
+//
+// agreement_cycle is these helpers plus its steps.  The execution scheme's
+// driver performs the same steps in its own coroutine frame and calls the
+// same helpers between them, in the same grants, so the two forms share
+// every decision and repeat only their sequence of co_awaits:
+//
+//   rec = open_cycle; i = draw_bin; local                     (line 1)
+//   BinSearch: probes × read                                   (lines 2-4)
+//   j == 0:     v = f; if v: write(cell 0, v, write_stamp)     (lines 5-9)
+//   0 < j < B:  prev = read(cell j-1);
+//               if copy_forward(prev): write(cell j, .., write_stamp)
+//   pad_steps × local; close_cycle                             (ω padding)
+//
+// The Copy task reads agreed values with UpperHalfScan.
+
+/// Opens the record of a cycle that `ctx` starts now at phase `phase`.
+inline CycleRecord open_cycle(sim::Ctx& ctx, sim::Word phase) {
+  CycleRecord rec;
+  rec.proc = ctx.id();
+  rec.phase = phase;
+  rec.s_time = ctx.simulator().total_work();
+  return rec;
+}
+
+/// Line 1: a uniformly random bin (one draw from ctx.rng(); the cycle
+/// charges it as one local step).
+inline std::size_t draw_bin(sim::Ctx& ctx, const BinArray& bins) {
+  return static_cast<std::size_t>(ctx.rng().below(bins.bins()));
+}
+
+/// Lines 2-4: binary search of a bin for its first empty cell at `phase`,
+/// one probe read per step.  Keeps lo = highest index observed filled (or
+/// -1) and hi = lowest index observed empty (or B); the range halves
+/// deterministically, so the probe count depends only on B, never on
+/// contents: exactly ⌈log2(B+1)⌉ probes (§3 "Work Per Cycle" needs cycle
+/// cost independent of contents), the ones after the range resolves
+/// re-reading cell 0 as padding.  With holes present the result may land
+/// on a hole rather than the true frontier, exactly as the paper's analysis
+/// allows.  A driver runs
+///   while (s.searching()) s.observe(co_await ctx.read(s.probe()));
+class BinSearch {
+ public:
+  BinSearch(const BinArray& bins, std::size_t bin, sim::Word phase) noexcept
+      : bins_(&bins),
+        bin_(bin),
+        phase_(phase),
+        probes_left_(ceil_log2(bins.cells_per_bin() + 1)),
+        hi_(static_cast<std::ptrdiff_t>(bins.cells_per_bin())) {}
+
+  bool searching() const noexcept { return probes_left_ != 0; }
+
+  /// Address the next probe reads.
+  std::size_t probe() const noexcept {
+    return bins_->addr(bin_, resolved() ? 0 : static_cast<std::size_t>(mid()));
+  }
+
+  /// Folds in the cell the probe read.
+  void observe(sim::Cell c) noexcept {
+    --probes_left_;
+    if (resolved()) return;
+    if (c.stamp == phase_)
+      lo_ = mid();
+    else
+      hi_ = mid();
+  }
+
+  /// The cell index found, in [0, B]; B means the bin is full.
+  std::size_t first_empty() const noexcept {
+    return static_cast<std::size_t>(hi_);
+  }
+
+ private:
+  bool resolved() const noexcept { return hi_ - lo_ <= 1; }
+  std::ptrdiff_t mid() const noexcept { return lo_ + (hi_ - lo_) / 2; }
+
+  const BinArray* bins_;
+  std::size_t bin_;
+  sim::Word phase_;
+  std::size_t probes_left_;
+  std::ptrdiff_t lo_ = -1;
+  std::ptrdiff_t hi_;
+};
+
+/// The stamp a cycle at `phase` writes its bin cell with.  The kStaleStamp
+/// self-test mutation (check/mutation.h) models a processor that stops
+/// refreshing its write timestamp once the clock has ticked.
+inline sim::Word write_stamp(sim::Word phase) noexcept {
+  if (check::mutation_enabled(check::Mutation::kStaleStamp) && phase > 1)
+    return phase - 1;
+  return phase;
+}
+
+/// Lines 10-11: the value to copy forward from the re-read previous cell
+/// `prev`.  The search observed that cell filled, but it may have been
+/// clobbered since; a stale value must never be given a current stamp, so
+/// a `prev` not filled at `phase` yields nullopt and the cycle writes
+/// nothing.  kCopyOffByOne is the self-test's off-by-one copy.
+inline std::optional<sim::Word> copy_forward(sim::Cell prev,
+                                             sim::Word phase) noexcept {
+  if (prev.stamp != phase) return std::nullopt;
+  if (check::mutation_enabled(check::Mutation::kCopyOffByOne))
+    return prev.value + 1;
+  return prev.value;
+}
+
+/// Local steps that pad a cycle which has used `used` steps to exactly ω,
+/// whatever branch it took (§3 "Work Per Cycle").
+inline std::uint64_t pad_steps(std::uint64_t used, std::uint64_t omega) {
+  if (used > omega)
+    throw std::logic_error("agreement_cycle: omega underestimates cycle cost");
+  return omega - used;
+}
+
+/// Closes `rec` at cycle end and hands it to `observer`, if any.  Buffered
+/// step events are delivered first, so an observer consuming both streams
+/// (e.g. ClockOracle) sees them interleaved exactly as the single-step
+/// engine interleaves them.
+inline void close_cycle(sim::Ctx& ctx, AgreementObserver* observer,
+                        CycleRecord& rec) {
+  rec.f_time = ctx.simulator().total_work();
+  if (observer != nullptr) {
+    ctx.simulator().flush_observers();
+    observer->on_cycle(rec);
+  }
+}
+
+/// Obtaining the agreement value NewVal[i] (paper §3): scan the upper half
+/// of Bin_i and stop at the first cell filled at `phase`.  Expected O(1)
+/// probes once Accessibility holds (at least half the scanned cells are
+/// filled); at most B − ⌊B/2⌋ reads when the bin is not ready, in which
+/// case value() stays nullopt and the caller retries later.  A driver runs
+///   while (s.scanning()) s.observe(co_await ctx.read(s.probe()));
+class UpperHalfScan {
+ public:
+  UpperHalfScan(const BinArray& bins, std::size_t bin, sim::Word phase) noexcept
+      : addr_(bins.addr(bin, bins.upper_half_begin())),
+        end_(bins.addr(bin, bins.cells_per_bin())),
+        phase_(phase) {}
+
+  bool scanning() const noexcept { return !value_ && addr_ != end_; }
+
+  /// Address the next probe reads.
+  std::size_t probe() const noexcept { return addr_; }
+
+  /// Folds in the cell the probe read.
+  void observe(sim::Cell c) noexcept {
+    if (c.stamp == phase_)
+      value_ = c.value;
+    else
+      ++addr_;
+  }
+
+  const std::optional<sim::Word>& value() const noexcept { return value_; }
+
+ private:
+  std::size_t addr_;
+  std::size_t end_;
+  sim::Word phase_;
+  std::optional<sim::Word> value_;
+};
 
 }  // namespace apex::agreement

@@ -20,13 +20,17 @@ PhaseClock::PhaseClock(sim::Memory& mem, ClockConfig cfg) : mem_(&mem) {
 }
 
 sim::SubTask<void> PhaseClock::update(sim::Ctx& ctx) {
-  const std::size_t r = static_cast<std::size_t>(ctx.rng().below(m_));
-  const sim::Cell c = co_await ctx.read(base_ + r);
+  const std::size_t addr = draw_slot(ctx);
+  const sim::Cell c = co_await ctx.read(addr);
+  co_await ctx.write(addr, update_value(addr, c.value), 0);
+}
+
+sim::Word PhaseClock::update_value(std::size_t addr, sim::Word seen) {
   sim::Word inc = 1;
   if (check::mutation_enabled(check::Mutation::kClockDoubleIncrement))
     inc = 2;
-  if (listener_ != nullptr) note_write(base_ + r, c.value + inc);
-  co_await ctx.write(base_ + r, c.value + inc, 0);
+  if (listener_ != nullptr) note_write(addr, seen + inc);
+  return seen + inc;
 }
 
 void PhaseClock::note_write(std::size_t addr, sim::Word value) {
@@ -40,19 +44,23 @@ void PhaseClock::note_write(std::size_t addr, sim::Word value) {
 sim::SubTask<std::uint64_t> PhaseClock::read(sim::Ctx& ctx) {
   std::uint64_t sampled = 0;
   for (std::size_t k = 0; k < s_; ++k) {
-    const std::size_t r = static_cast<std::size_t>(ctx.rng().below(m_));
-    const sim::Cell c = co_await ctx.read(base_ + r);
+    const sim::Cell c = co_await ctx.read(draw_slot(ctx));
     sampled += c.value;
   }
   // One local step: scale the sample to an estimate and divide by τ.
   co_await ctx.local();
+  co_return read_estimate(ctx.id(), sampled);
+}
+
+std::uint64_t PhaseClock::read_estimate(std::size_t proc,
+                                        std::uint64_t sampled) {
   const double est_total = static_cast<double>(sampled) *
                            (static_cast<double>(m_) / static_cast<double>(s_));
   const std::uint64_t tick =
       static_cast<std::uint64_t>(est_total) / tau_;
-  auto& clamp = reader_clamp_.at(ctx.id());
+  auto& clamp = reader_clamp_.at(proc);
   clamp = std::max(clamp, tick);
-  co_return clamp;
+  return clamp;
 }
 
 std::uint64_t PhaseClock::exact_total() const {

@@ -68,6 +68,29 @@ class PhaseClock {
   /// Returns the clock value, monotone per calling processor.
   sim::SubTask<std::uint64_t> read(sim::Ctx& ctx);
 
+  // ---- The procedures' decisions, for drivers that inline them ------------
+  //
+  // update() and read() above are these helpers plus their steps.  A hot
+  // driver (the execution scheme's) performs the same steps in its own
+  // frame and calls the same helpers between them, in the same grants:
+  //   Update-Clock:  a = draw_slot; c = read(a); write(a, update_value(a, c))
+  //   Read-Clock:    samples() × { sum += read(draw_slot).value }; local;
+  //                  tick = read_estimate(id, sum)
+
+  /// Address of a uniformly random counter slot (one draw from ctx.rng()).
+  std::size_t draw_slot(sim::Ctx& ctx) const {
+    return base_ + static_cast<std::size_t>(ctx.rng().below(m_));
+  }
+
+  /// The value Update-Clock writes to slot `addr` after reading `seen`
+  /// there.  Runs the tick-listener hook, so call it in the grant of the
+  /// write (see set_listener).
+  sim::Word update_value(std::size_t addr, sim::Word seen);
+
+  /// Read-Clock's result for processor `proc` from the sum of its s sampled
+  /// slots: the estimated tick, clamped to be monotone per processor.
+  std::uint64_t read_estimate(std::size_t proc, std::uint64_t sampled);
+
   // ---- Out-of-band inspection (tests/benches; costs no work) --------------
 
   /// Exact number of update increments currently recorded in the slots.

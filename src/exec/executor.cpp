@@ -1,5 +1,7 @@
 #include "exec/executor.h"
 
+#include <optional>
+
 #include "util/math.h"
 
 namespace apex::exec {
@@ -32,10 +34,16 @@ struct Executor::Impl {
   std::unique_ptr<agreement::BinArray> bins;  // nondet scheme only
   std::size_t var_base = 0;
   std::size_t newval_base = 0;                // det scheme only
-  agreement::AgreementRuntime rt;             // nondet scheme only
+  std::uint64_t omega = 0;                    // nondet: steps per cycle
+  agreement::AgreementObserver* observer = nullptr;  // nondet scheme only
 
   // Diagnostics (single-threaded simulation: plain counters suffice).
   std::uint64_t stamp_misses = 0;
+  // Work split: ctx.steps() deltas around each clock block, Compute task
+  // and Copy task, so the step awaiters carry no extra store.
+  std::uint64_t clock_work = 0;
+  std::uint64_t compute_work = 0;
+  std::uint64_t copy_work = 0;
 
   std::size_t n() const { return prog->nthreads(); }
   std::size_t T() const { return prog->nsteps(); }
@@ -157,28 +165,20 @@ struct Executor::Impl {
     co_await ctx.write(newval_addr(i), *v, stamp);
   }
 
-  /// Copy subphase task: pick a random thread, fetch its NewVal (from the
-  /// bins under the nondeterministic scheme, from the NewVal array under
-  /// the baseline), and commit it to z_i's generation slot.
-  sim::SubTask<void> copy_once(sim::Ctx& ctx, std::size_t s, sim::Word stamp) {
-    const std::size_t i = static_cast<std::size_t>(ctx.rng().below(n()));
-    co_await ctx.local();
-    const pram::Instr& ins = prog->step(s).instrs[i];
-    if (!pram::writes_dest(ins.op)) co_return;
-
-    agreement::TaskResult v;
-    if (scheme == Scheme::kNondeterministic) {
-      v = co_await agreement::read_agreed(ctx, *bins, i, stamp);
-    } else {
-      const sim::Cell c = co_await ctx.read(newval_addr(i));
-      if (c.stamp == stamp) v = c.value;
-    }
-    if (v) co_await ctx.write(var_addr(ins.z, stamp), *v, stamp);
-  }
-
   /// Per-processor driver: interleave clock maintenance with random task
   /// execution for the current subphase; exit once the clock passes 2T.
+  ///
+  /// A processor runs in this one coroutine frame.  Update-Clock,
+  /// Read-Clock, the agreement cycle and the Copy task are written inline,
+  /// over the same helpers PhaseClock::update/read and
+  /// agreement::agreement_cycle are built from, so each grant resumes one
+  /// frame and allocates nothing.  Only f (eval_task, entered by the cycles
+  /// that find cell 0 empty) and the deterministic baseline's Compute task
+  /// are nested SubTasks.  See docs/ARCHITECTURE.md, "The simulator hot
+  /// path".
   sim::ProcTask scheme_proc(sim::Ctx& ctx) {
+    clockx::PhaseClock& clk = *clock;
+    const bool nondet = scheme == Scheme::kNondeterministic;
     const std::uint64_t stride = lg(n());
     const std::uint64_t end_tick = 2 * static_cast<std::uint64_t>(T());
     std::uint64_t tick = 0;
@@ -186,23 +186,100 @@ struct Executor::Impl {
       // Staggered by id, as in agreement_proc: avoids synchronized
       // clock-read blocks under lockstep schedules.
       if ((iter + ctx.id()) % stride == 0) {
-        co_await clock->update(ctx);
-        tick = co_await clock->read(ctx);
+        const std::uint64_t start = ctx.steps();
+        // Update-Clock.
+        const std::size_t slot = clk.draw_slot(ctx);
+        const sim::Cell seen = co_await ctx.read(slot);
+        co_await ctx.write(slot, clk.update_value(slot, seen.value), 0);
+        // Read-Clock.
+        std::uint64_t sampled = 0;
+        for (std::size_t k = 0; k < clk.samples(); ++k) {
+          const sim::Cell c = co_await ctx.read(clk.draw_slot(ctx));
+          sampled += c.value;
+        }
+        co_await ctx.local();
+        tick = clk.read_estimate(ctx.id(), sampled);
+        clock_work += ctx.steps() - start;
         if (tick >= end_tick) co_return;
       }
       if (tick >= end_tick) {
+        // Only a zero-step program gets here: it idles until its first
+        // Read-Clock ends the run.
         co_await ctx.local();
+        clock_work += 1;
         continue;
       }
       const std::size_t s = static_cast<std::size_t>(tick / 2);
-      const sim::Word stamp = pram::stamp_of_step(static_cast<std::uint32_t>(s));
-      if (tick % 2 == 0) {
-        if (scheme == Scheme::kNondeterministic)
-          co_await agreement::agreement_cycle(ctx, rt, stamp);
-        else
-          co_await det_compute_once(ctx, s, stamp);
+      const sim::Word stamp =
+          pram::stamp_of_step(static_cast<std::uint32_t>(s));
+      const std::uint64_t start = ctx.steps();
+      if (tick % 2 == 0 && nondet) {
+        // One agreement cycle: agreement::agreement_cycle, with f = eval_task.
+        const agreement::BinArray& b = *bins;
+        agreement::CycleRecord rec = agreement::open_cycle(ctx, stamp);
+        const std::size_t i = agreement::draw_bin(ctx, b);
+        co_await ctx.local();
+        rec.bin = i;
+        agreement::BinSearch search(b, i, stamp);
+        while (search.searching()) {
+          const sim::Cell c = co_await ctx.read(search.probe());
+          search.observe(c);
+        }
+        const std::size_t j = search.first_empty();
+        rec.d_time = sim->total_work();
+        const sim::Word bin_stamp = agreement::write_stamp(stamp);
+        if (j == 0) {
+          const agreement::TaskResult v = co_await eval_task(ctx, s, i);
+          if (v.has_value()) {
+            co_await ctx.write(b.addr(i, 0), *v, bin_stamp);
+            rec.wrote_cell = 0;
+            rec.wrote_value = *v;
+            rec.evaluated_f = true;
+          }
+        } else if (j < b.cells_per_bin()) {
+          const sim::Cell prev = co_await ctx.read(b.addr(i, j - 1));
+          const std::optional<sim::Word> v =
+              agreement::copy_forward(prev, stamp);
+          if (v.has_value()) {
+            co_await ctx.write(b.addr(i, j), *v, bin_stamp);
+            rec.wrote_cell = static_cast<int>(j);
+            rec.wrote_value = *v;
+          }
+        }
+        for (std::uint64_t k =
+                 agreement::pad_steps(ctx.steps() - start, omega);
+             k != 0; --k)
+          co_await ctx.local();
+        agreement::close_cycle(ctx, observer, rec);
+        compute_work += ctx.steps() - start;
+      } else if (tick % 2 == 0) {
+        co_await det_compute_once(ctx, s, stamp);
+        compute_work += ctx.steps() - start;
       } else {
-        co_await copy_once(ctx, s, stamp);
+        // One Copy task: pick a random thread, fetch its NewVal (the first
+        // filled upper-half cell of its bin under the nondeterministic
+        // scheme, the NewVal array under the baseline) and commit it to
+        // z_i's generation slot.
+        const std::size_t i = static_cast<std::size_t>(ctx.rng().below(n()));
+        co_await ctx.local();
+        const pram::Instr& ins = prog->step(s).instrs[i];
+        if (pram::writes_dest(ins.op)) {
+          std::optional<sim::Word> v;
+          if (nondet) {
+            agreement::UpperHalfScan scan(*bins, i, stamp);
+            while (scan.scanning()) {
+              const sim::Cell c = co_await ctx.read(scan.probe());
+              scan.observe(c);
+            }
+            v = scan.value();
+          } else {
+            const sim::Cell c = co_await ctx.read(newval_addr(i));
+            if (c.stamp == stamp) v = c.value;
+          }
+          if (v.has_value())
+            co_await ctx.write(var_addr(ins.z, stamp), *v, stamp);
+        }
+        copy_work += ctx.steps() - start;
       }
     }
   }
@@ -340,16 +417,12 @@ Executor::Executor(const pram::Program& program, Scheme scheme, ExecConfig cfg)
   if (scheme_ == Scheme::kNondeterministic) {
     impl_->bins = std::make_unique<agreement::BinArray>(
         sim_->memory(), n, agreement::BinArray::cells_for(n, kBeta));
-    impl_->rt.cfg.n = n;
-    impl_->rt.cfg.beta = kBeta;
+    agreement::AgreementConfig acfg;
+    acfg.n = n;
+    acfg.beta = kBeta;
     // <= 3 operand reads + 1 local; a kGatherDyn adds one segment read.
-    impl_->rt.cfg.compute_steps = program.has_dyn_gather() ? 5 : 4;
-    impl_->rt.bins = impl_->bins.get();
-    impl_->rt.clock = impl_->clock.get();
-    Impl* im = impl_.get();
-    impl_->rt.task = [im](sim::Ctx& ctx, std::size_t i, sim::Word phase) {
-      return im->eval_task(ctx, static_cast<std::size_t>(phase - 1), i);
-    };
+    acfg.compute_steps = program.has_dyn_gather() ? 5 : 4;
+    impl_->omega = acfg.omega();
   } else {
     impl_->newval_base = sim_->memory().extend(n);
   }
@@ -370,7 +443,7 @@ agreement::BinArray* Executor::bins() noexcept { return impl_->bins.get(); }
 
 void Executor::set_agreement_observer(
     agreement::AgreementObserver* obs) noexcept {
-  impl_->rt.observer = obs;
+  impl_->observer = obs;
 }
 
 std::uint64_t Executor::default_budget(const pram::Program& p) {
@@ -394,6 +467,9 @@ ExecResult Executor::run(std::uint64_t max_work) {
   out.completed = res.all_finished;
   out.total_work = sim_->total_work();
   out.stamp_misses = impl_->stamp_misses;
+  out.clock_work = impl_->clock_work;
+  out.compute_work = impl_->compute_work;
+  out.copy_work = impl_->copy_work;
 
   if (out.completed) {
     // Finalize any subphases whose boundary the monitor has not yet seen

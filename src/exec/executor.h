@@ -90,6 +90,13 @@ struct ExecResult {
   /// retried.  Nonzero is normal under hostile schedules; it measures
   /// wasted attempts, not corruption.
   std::uint64_t stamp_misses = 0;
+  /// Work split, summed over processors: clock maintenance (Update-Clock
+  /// plus Read-Clock), Compute tasks (agreement cycles, or the baseline's
+  /// direct evaluations) and Copy tasks.  In a completed run the three plus
+  /// one halting step per processor sum to total_work.
+  std::uint64_t clock_work = 0;
+  std::uint64_t compute_work = 0;
+  std::uint64_t copy_work = 0;
 };
 
 class Executor {

@@ -42,14 +42,26 @@ ProcTask run_cycles(Ctx& ctx, AgreementRuntime& rt, Word phase, int k) {
   for (int i = 0; i < k; ++i) co_await agreement_cycle(ctx, rt, phase);
 }
 
+// The binary search of Fig. 2 lines 2-4, one probe per step.
 ProcTask run_search(Ctx& ctx, const BinArray& bins, std::size_t bin, Word phase,
                     std::size_t& out) {
-  out = co_await detail::search_first_empty(ctx, bins, bin, phase);
+  BinSearch search(bins, bin, phase);
+  while (search.searching()) {
+    const Cell c = co_await ctx.read(search.probe());
+    search.observe(c);
+  }
+  out = search.first_empty();
 }
 
+// Obtaining NewVal[i]: the upper-half scan, one probe per step.
 ProcTask run_read_agreed(Ctx& ctx, const BinArray& bins, std::size_t i,
                          Word phase, std::optional<Word>& out) {
-  out = co_await read_agreed(ctx, bins, i, phase);
+  UpperHalfScan scan(bins, i, phase);
+  while (scan.scanning()) {
+    const Cell c = co_await ctx.read(scan.probe());
+    scan.observe(c);
+  }
+  out = scan.value();
 }
 
 // ---------------------------------------------------------------------------
@@ -237,7 +249,7 @@ TEST(AgreementCycle, ObserverReceivesTimingAndWriteInfo) {
 }
 
 // ---------------------------------------------------------------------------
-// read_agreed
+// Reading the agreed value (upper-half scan)
 // ---------------------------------------------------------------------------
 
 TEST(ReadAgreed, NulloptWhenUpperHalfEmpty) {

@@ -43,7 +43,17 @@ constexpr double kClockAlpha = 48.0;
 // Every ExecResult field, for whole-result comparisons.
 auto fields(const exec::ExecResult& r) {
   return std::tie(r.completed, r.total_work, r.memory, r.produced,
-                  r.incomplete_tasks, r.stamp_misses);
+                  r.incomplete_tasks, r.stamp_misses, r.clock_work,
+                  r.compute_work, r.copy_work);
+}
+
+// A completed run's work split covers every step: each processor's steps
+// fall in clock, Compute and Copy blocks, plus its one halting step.
+void expect_split_covers_work(const exec::ExecResult& r, std::size_t procs,
+                              const std::string& what) {
+  EXPECT_EQ(r.clock_work + r.compute_work + r.copy_work + procs, r.total_work)
+      << what << ": clock=" << r.clock_work << " compute=" << r.compute_work
+      << " copy=" << r.copy_work;
 }
 
 struct NoOpObserver final : sim::StepObserver {
@@ -80,6 +90,12 @@ TEST_P(Differential, SimulatorExecutorBothEnginesAgreeWithReference) {
       run_exec(p, kClockAlpha, sim::GrantEngine::kBatched, nullptr);
   ASSERT_TRUE(res.completed) << wl.name;
   ASSERT_EQ(res.incomplete_tasks, 0u) << wl.name;
+  expect_split_covers_work(res, p.nthreads(), wl.name);
+  const exec::ExecResult single =
+      run_exec(p, kClockAlpha, sim::GrantEngine::kSingleStep, nullptr);
+  ASSERT_TRUE(single.completed) << wl.name;
+  expect_split_covers_work(single, p.nthreads(),
+                           std::string(wl.name) + " single-step");
   EXPECT_EQ(pram::check_execution_consistency(
                 p, std::vector<Word>(p.nvars(), 0), res.produced, res.memory),
             "")
@@ -105,9 +121,11 @@ TEST_P(Differential, SimulatorExecutorBothEnginesAgreeWithReference) {
     EXPECT_EQ(fields(run_exec(p, alpha, sim::GrantEngine::kBatched, &noop)),
               fields(fast))
         << wl.name << " alpha=" << alpha << ": instrumented path diverged";
-    EXPECT_EQ(
-        fields(run_exec(p, alpha, sim::GrantEngine::kSingleStep, nullptr)),
-        fields(fast))
+    EXPECT_EQ(fields(alpha == kClockAlpha
+                         ? single
+                         : run_exec(p, alpha, sim::GrantEngine::kSingleStep,
+                                    nullptr)),
+              fields(fast))
         << wl.name << " alpha=" << alpha << ": single-step engine diverged";
   }
 }
@@ -123,6 +141,7 @@ TEST_P(Differential, DeterministicBaselineSchemeAgreesOnDetKernels) {
   const auto chk = exec::run_checked(p, exec::Scheme::kDeterministic, cfg);
   ASSERT_TRUE(chk.result.completed) << wl.name;
   ASSERT_EQ(chk.result.incomplete_tasks, 0u) << wl.name;
+  expect_split_covers_work(chk.result, p.nthreads(), wl.name);
   EXPECT_EQ(chk.consistency_error, "") << wl.name;
   for (std::size_t v = 0; v < ref.memory.size(); ++v)
     ASSERT_EQ(chk.result.memory[v], ref.memory[v]) << wl.name << " v" << v;

@@ -201,6 +201,17 @@ host::HostExecConfig host_config(const Args& a, const pram::WorkloadSpec* spec,
   return cfg;
 }
 
+/// Both substrates split a run's work into clock maintenance, Compute
+/// tasks and Copy tasks (a simulator run also charges each processor one
+/// halting step, outside the three).
+void print_work_split(std::uint64_t clock, std::uint64_t compute,
+                      std::uint64_t copy) {
+  std::printf("  work split: clock=%llu compute=%llu copy=%llu\n",
+              static_cast<unsigned long long>(clock),
+              static_cast<unsigned long long>(compute),
+              static_cast<unsigned long long>(copy));
+}
+
 /// Runs `p` on the engine --engine selects and prints the run.  Returns the
 /// final memory of a completed run that can be trusted — host: audit-clean
 /// after host::run_until_clean; simulator: consistent with some synchronous
@@ -231,10 +242,7 @@ std::optional<std::vector<pram::Word>> run_engine(
                 static_cast<unsigned long long>(res.stamp_misses),
                 run.attempts, run.lost_commits, run.repaired_commits,
                 res.wall_seconds);
-    std::printf("  work split: clock=%llu compute=%llu copy=%llu\n",
-                static_cast<unsigned long long>(res.clock_work),
-                static_cast<unsigned long long>(res.compute_work),
-                static_cast<unsigned long long>(res.copy_work));
+    print_work_split(res.clock_work, res.compute_work, res.copy_work);
     if (!res.completed) {
       std::printf("  aborted: %s\n",
                   res.error.empty() ? "timeout" : res.error.c_str());
@@ -263,6 +271,8 @@ std::optional<std::vector<pram::Word>> run_engine(
               static_cast<unsigned long long>(chk.result.total_work),
               static_cast<unsigned long long>(chk.result.incomplete_tasks),
               static_cast<unsigned long long>(chk.result.stamp_misses));
+  print_work_split(chk.result.clock_work, chk.result.compute_work,
+                   chk.result.copy_work);
   if (!chk.result.completed) {
     std::printf("  did not complete within budget\n");
     return std::nullopt;
