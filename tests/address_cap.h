@@ -14,21 +14,25 @@
 namespace apex::test_support {
 
 // Sanitizer shadow memory needs the address space the cap takes away.
+// APEX_TEST_SANITIZED is the same fact for the preprocessor (ASan and TSan
+// also own the global operator new).
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-inline constexpr bool kSanitized = true;
+#define APEX_TEST_SANITIZED 1
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-inline constexpr bool kSanitized = true;
-#else
-inline constexpr bool kSanitized = false;
+#define APEX_TEST_SANITIZED 1
 #endif
-#else
-inline constexpr bool kSanitized = false;
 #endif
+#ifndef APEX_TEST_SANITIZED
+#define APEX_TEST_SANITIZED 0
+#endif
+inline constexpr bool kSanitized = APEX_TEST_SANITIZED != 0;
 
 /// Forks; the child caps RLIMIT_AS at its current size plus 64 MB, runs
 /// `body` and exits with its return value.  Returns that exit status, or -1
-/// when the child did not exit normally (std::terminate's abort, for one).
+/// when the child did not exit normally (std::terminate's abort, for one;
+/// an exception escaping `body` terminates the child too, rather than
+/// unwinding into the test runner's copy).
 template <typename Body>
 int exit_status_under_address_cap(Body&& body) {
   constexpr rlim_t kHeadroom = rlim_t{64} << 20;
@@ -42,7 +46,7 @@ int exit_status_under_address_cap(Body&& body) {
   if (pid == 0) {
     const rlimit lim{cap, cap};
     if (setrlimit(RLIMIT_AS, &lim) != 0) _exit(100);
-    _exit(body());
+    _exit([&]() noexcept { return body(); }());
   }
   int status = 0;
   if (waitpid(pid, &status, 0) != pid) return -2;
