@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <new>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -35,17 +36,33 @@ class Analyzer {
   std::optional<pram::Program> run() {
     resolve_layout();
     resolve_segments();
-    std::vector<pram::Step> steps = build_steps();
-    if (!diags_.empty()) return std::nullopt;
-    check_erew(steps);
-    if (!diags_.empty()) return std::nullopt;
-    // Our checks mirror Program's own validation, so this construction
-    // cannot throw; the try is a backstop so a checker gap still surfaces
-    // as a diagnostic rather than terminating the caller.
+    // A legal layout can still be too large for this machine: the steps
+    // hold processors × steps instructions, the EREW mirror and Program's
+    // tables one entry per variable.  Running out ends in a diagnostic.
+    std::vector<pram::Step> steps;
     try {
+      steps = build_steps();
+    } catch (const std::bad_alloc&) {
+      error(p_.procs_at, "cannot allocate the layout: " +
+                             std::to_string(procs_) + " processors x " +
+                             std::to_string(p_.steps.size()) + " steps");
+      return std::nullopt;
+    }
+    if (!diags_.empty()) return std::nullopt;
+    try {
+      check_erew(steps);
+      if (!diags_.empty()) return std::nullopt;
+      // Our checks mirror Program's own validation, so this construction
+      // cannot throw otherwise; the catch below is a backstop so a checker
+      // gap still surfaces as a diagnostic rather than terminating the
+      // caller.
       return pram::Program(static_cast<std::size_t>(procs_),
                            static_cast<std::size_t>(nvars_),
                            std::move(steps));
+    } catch (const std::bad_alloc&) {
+      error(vars_at(), "cannot allocate the layout: " +
+                           std::to_string(nvars_) + " variables");
+      return std::nullopt;
     } catch (const std::exception& e) {
       error(p_.name_at, std::string("internal: program validation failed "
                                     "after analysis: ") +
@@ -108,13 +125,17 @@ class Analyzer {
       nvars_ = 1;
     }
     if (nvars_ > kMaxVarId + 1) {
-      error(p_.vars ? p_.vars_at : p_.name_at,
+      error(vars_at(),
             "variable id overflow: program needs " + std::to_string(nvars_) +
                 " variables but ids are 32-bit (max " +
                 std::to_string(kMaxVarId + 1) + ")");
       nvars_ = 1;
     }
   }
+
+  /// Where a diagnostic about the variable count points: the `vars` total
+  /// when the file declares one, else the program name.
+  std::size_t vars_at() const { return p_.vars ? p_.vars_at : p_.name_at; }
 
   static bool reserved(std::string_view n) {
     return n == "pram" || n == "procs" || n == "vars" || n == "var" ||

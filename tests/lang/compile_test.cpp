@@ -6,6 +6,7 @@
 #include <iterator>
 
 #include "pram/interp.h"
+#include "tests/address_cap.h"
 
 namespace apex::lang {
 namespace {
@@ -212,6 +213,39 @@ TEST(Compile, MultipleDiagnosticsAreBatched) {
                               "step {\n  0: add v0, alpha, beta\n}\n");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.diagnostics.size(), 2u);
+}
+
+// One compile of `text` in the capped child: 0 iff it fails with exactly
+// one diagnostic, `message` at line:col.
+int expect_one_diagnostic(const std::string& text, const std::string& message,
+                          std::size_t line, std::size_t col) {
+  const auto r = compile_text(text);
+  if (r.ok() || r.diagnostics.size() != 1) return 1;
+  const Diagnostic& d = r.diagnostics[0];
+  return d.message == message && d.loc.line == line && d.loc.col == col ? 0
+                                                                        : 2;
+}
+
+TEST(Compile, LayoutTooLargeToAllocateIsADiagnostic) {
+  // Legal layouts this machine cannot hold end in a located diagnostic,
+  // not an uncaught std::bad_alloc.  The address cap makes the allocations
+  // fail at once instead of paging.
+  if (test_support::kSanitized)
+    GTEST_SKIP() << "sanitizer shadow memory needs the capped address space";
+  const int status = test_support::exit_status_under_address_cap([] {
+    const int vars = expect_one_diagnostic(
+        "pram big\nprocs 1\nvar big[4294967296]\n"
+        "step {\n  0: const big[0], 1\n}\n",
+        "cannot allocate the layout: 4294967296 variables", 1, 6);
+    const int procs = expect_one_diagnostic(
+        "pram wide\nprocs 4294967297\nvars 1\n"
+        "step {\n  0: const v0, 1\n}\n",
+        "cannot allocate the layout: 4294967297 processors x 1 steps", 2, 1);
+    return vars * 10 + procs;
+  });
+  EXPECT_EQ(status, 0) << "tens digit: the variables case, units: the "
+                          "processors case (1 = wrong diagnostics, "
+                          "2 = wrong message or place); -1 = crashed";
 }
 
 TEST(CompileFile, MissingFileIsADiagnosticNotAThrow) {
