@@ -36,7 +36,8 @@ sim::SubTask<void> agreement_cycle(sim::Ctx& ctx, AgreementRuntime& rt,
   } else if (j < bins.cells_per_bin()) {
     // Lines 10-11: copy forward from the previous cell, re-read.
     const sim::Cell prev = co_await ctx.read(bins.addr(i, j - 1));
-    if (const auto v = copy_forward(prev, phase)) {
+    const std::optional<sim::Word> v = copy_forward(prev, phase);
+    if (v.has_value()) {
       co_await ctx.write(bins.addr(i, j), *v, stamp);
       rec.wrote_cell = static_cast<int>(j);
       rec.wrote_value = *v;

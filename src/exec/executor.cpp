@@ -182,10 +182,13 @@ struct Executor::Impl {
     const std::uint64_t stride = lg(n());
     const std::uint64_t end_tick = 2 * static_cast<std::uint64_t>(T());
     std::uint64_t tick = 0;
-    for (std::uint64_t iter = 0;; ++iter) {
-      // Staggered by id, as in agreement_proc: avoids synchronized
-      // clock-read blocks under lockstep schedules.
-      if ((iter + ctx.id()) % stride == 0) {
+    // Clock maintenance before every `stride`-th task, staggered by id as
+    // in agreement_proc (before task k when (k + id) % stride == 0): avoids
+    // synchronized clock-read blocks under lockstep schedules.
+    std::uint64_t tasks_to_clock = (stride - ctx.id() % stride) % stride;
+    for (;;) {
+      if (tasks_to_clock == 0) {
+        tasks_to_clock = stride;
         const std::uint64_t start = ctx.steps();
         // Update-Clock.
         const std::size_t slot = clk.draw_slot(ctx);
@@ -202,6 +205,7 @@ struct Executor::Impl {
         clock_work += ctx.steps() - start;
         if (tick >= end_tick) co_return;
       }
+      --tasks_to_clock;
       if (tick >= end_tick) {
         // Only a zero-step program gets here: it idles until its first
         // Read-Clock ends the run.

@@ -13,6 +13,10 @@
 // Protocols compose with SubTask<T> (see subtask.h): sub-procedures are
 // coroutines awaited from the parent; a step awaiter anywhere in the stack
 // suspends the whole stack by recording the deepest handle in the Ctx.
+// Each nesting level costs a frame allocation per call and a second resume
+// target per grant, so hot drivers inline their sub-procedures over shared
+// non-suspending helpers and keep SubTask for f and the units off the hot
+// path.
 #pragma once
 
 #include <cassert>

@@ -1,11 +1,10 @@
 // Composable protocol sub-procedures.
 //
-// The paper's protocols decompose naturally: an agreement cycle calls a
-// binary search; the driver loop calls Read-Clock / Update-Clock; the
-// executor's Compute task evaluates f by reading program memory.  SubTask<T>
-// lets each of these be its own coroutine, awaited from a parent with
-// `co_await sub_fn(ctx, ...)`, while the simulator keeps granting exactly
-// one atomic step per resume:
+// The paper's protocols decompose naturally: a driver loop calls
+// Update-Clock / Read-Clock and agreement cycles; a cycle evaluates f, which
+// reads program memory.  SubTask<T> lets such a unit be its own coroutine,
+// awaited from a parent with `co_await sub_fn(ctx, ...)`, while the
+// simulator keeps granting exactly one atomic step per resume:
 //
 //   - SubTask is lazy: awaiting it symmetric-transfers into the child.
 //   - A step awaiter (ctx.read/write/local) suspends the WHOLE stack by
@@ -14,6 +13,15 @@
 //   - When the child co_returns, its final awaiter symmetric-transfers back
 //     to the parent, which continues inside the same grant (returning from a
 //     sub-procedure costs no model step — only atomic ops cost work).
+//
+// A SubTask costs a heap-allocated frame per call, and while a processor is
+// parked in one, each grant resumes a second, nested frame.  So SubTask is
+// for f (a TaskFn) and for the composable units off the hot path:
+// PhaseClock::update/read and agreement::agreement_cycle, as the standalone
+// agreement driver, the benches and the tests await them.  A hot driver
+// (exec's scheme_proc) runs those units inline, in its own frame, over the
+// non-suspending helpers they are built from (see docs/ARCHITECTURE.md,
+// "The simulator hot path").
 #pragma once
 
 #include <coroutine>
