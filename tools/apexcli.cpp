@@ -771,13 +771,14 @@ int cmd_perfbench(const Args& a) {
 
   // Workload rows: full-scheme throughput, regular vs irregular kernels.
   // Quick mode keeps one regular anchor plus one irregular (gather-heavy)
-  // config so the CI perf smoke tracks data-dependent throughput too.
+  // config so the CI perf smoke tracks data-dependent throughput too.  Both
+  // grids end with dag n=64, the instance wallbench's sim_dag_n64 runs.
   std::vector<std::pair<const char*, std::size_t>> wl_grid = {
-      {"prefix", 8}, {"spmv", 8}};
+      {"prefix", 8}, {"spmv", 8}, {"dag", 64}};
   if (!quick)
     wl_grid = {{"prefix", 8},  {"prefix", 16}, {"bfs", 8},  {"bfs", 16},
                {"merge", 8},   {"merge", 16},  {"spmv", 8}, {"spmv", 16},
-               {"dag", 8},     {"dag", 16}};
+               {"dag", 8},     {"dag", 16},    {"dag", 64}};
   std::vector<WorkloadPerfRow> wl_rows;
   for (const auto& [name, n] : wl_grid)
     wl_rows.push_back(run_workload_perf(name, n, reps));
@@ -966,9 +967,10 @@ int cmd_perfbench(const Args& a) {
   // virtualization PR; "pre_observer_batching": the per-step observer
   // delivery path measured from the parent commit of the observer-batching
   // PR; "host_pre_fast_exits": the graph rows of the host executor before
-  // its full-bin and committed-slot exits).  Rewriting the file must not
-  // destroy them: lift each block out of any existing file and splice it
-  // back into the fresh output.
+  // its full-bin and committed-slot exits; "pre_flat_exec": the workload
+  // rows of the exec driver that awaited its sub-procedures as nested
+  // SubTasks).  Rewriting the file must not destroy them: lift each block
+  // out of any existing file and splice it back into the fresh output.
   std::vector<std::string> kept_blocks;
   {
     std::ifstream prev(out_path);
@@ -977,7 +979,7 @@ int cmd_perfbench(const Args& a) {
                        std::istreambuf_iterator<char>());
       for (const char* keyname :
            {"pre_refactor", "host_pre_virtualization", "pre_observer_batching",
-            "host_pre_fast_exits"}) {
+            "host_pre_fast_exits", "pre_flat_exec"}) {
         const auto key = text.find('"' + std::string(keyname) + '"');
         const auto open = text.find('{', key);
         if (key == std::string::npos || open == std::string::npos) continue;
