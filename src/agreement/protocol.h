@@ -18,12 +18,10 @@
 // high probability, a unique stable value readable from its upper half
 // (Theorem 1).
 //
-// Two forms run a cycle.  agreement_cycle is a SubTask, awaited by the
-// standalone driver agreement_proc, the benches and the tests; f is a
-// SubTask it awaits.  The execution scheme's hot driver runs the same cycle
-// inline in its own coroutine frame.  Both are built from the non-suspending
-// helpers declared below (BinSearch, copy_forward, pad_steps, ...), so they
-// share every decision and repeat only their sequence of co_awaits.
+// Two forms run a cycle: agreement_cycle, a SubTask that agreement_proc, the
+// benches and the tests await, and the execution scheme's hot driver, which
+// runs the cycle inline in its own coroutine frame.  Both are built from the
+// non-suspending helpers below ("One cycle's decisions").
 #pragma once
 
 #include <cstddef>
