@@ -72,8 +72,9 @@ class HostMemory {
 
   // Unchecked variants for hot paths whose addresses were validated when
   // the layout was built (the executor proves every plan address in range
-  // at construction; Debug builds keep the assert).  Mirrors the simulator
-  // fast path's Memory::at_unchecked contract.
+  // at construction; Debug builds keep the assert).  The simulator's
+  // batched engine does the same: its step awaiters write the raw
+  // Memory::data() array, with a Debug assert on the address.
   HostCell read_unchecked(std::size_t addr, std::memory_order mo) const {
     assert(addr < cells_.size());
     const std::uint64_t w = cells_[addr].load(mo);

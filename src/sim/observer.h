@@ -10,9 +10,9 @@
 // batch event buffer inline in the step awaiters — no per-step virtual
 // calls, no per-step checked access — and flushes it as on_steps(span)
 // calls down the chain at batch boundaries: sub-batch capacity (the buffer
-// is kept L1-sized), stop-predicate checks, work caps, run() end, mid-batch
-// exits (stop request, last processor finishing) and before any exception
-// propagates out of run().
+// is kept L1-sized), stop-predicate checks, work caps, run() end, the last
+// processor finishing mid-batch, and before any exception propagates out of
+// run().
 // What an observer may assume:
 //   * every executed step is delivered exactly once, in execution order,
 //     with the same StepEvent contents the pre-batching engine delivered;
@@ -87,7 +87,6 @@ class CompositeObserver final : public StepObserver {
 
   void clear() noexcept { list_.clear(); }
   bool empty() const noexcept { return list_.empty(); }
-  std::size_t size() const noexcept { return list_.size(); }
 
   void on_step(const StepEvent& ev) override {
     for (auto* o : list_) o->on_step(ev);

@@ -268,10 +268,6 @@ class Ctx {
   /// Atomic steps this processor has been granted so far.
   std::uint64_t steps() const noexcept { return steps_; }
 
-  /// Ask the simulator to stop at the end of the current grant
-  /// (cooperative: used by driver processors that detect completion).
-  void request_stop() const noexcept;
-
   Simulator& simulator() const noexcept { return *sim_; }
 
  private:

@@ -170,38 +170,70 @@ void Simulator::validate_grants(std::size_t from) {
   }
 }
 
-void Simulator::consume_batch_instr(std::size_t end, bool double_charge,
-                                    bool poll_on_dead, RunResult& res) {
-  // The instrumented twin of consume_batch_fast below: same loop structure,
-  // same register discipline, but each live grant's awaiter additionally
+void Simulator::flush_observers_slow() {
+  const std::span<const StepEvent> batch(
+      ev_flushed_, static_cast<std::size_t>(ev_next_ - ev_flushed_));
+  // Mark delivered BEFORE fanning out: a re-entrant flush from inside an
+  // observer then no-ops instead of double-delivering.
+  ev_flushed_ = ev_next_;
+  observers_.on_steps(batch);
+}
+
+template <bool kEvents>
+void Simulator::consume_batch(std::size_t end, bool double_charge,
+                              bool poll_on_dead, RunResult& res) {
+  // The hot loop of the whole repo, instantiated once per observer mode.
+  // The atomic op itself is executed inline by the step awaiter (see
+  // proc.h) before the resume returns, so each iteration is: resume, finish
+  // check, accounting.  Everything the resume cannot touch is hoisted into
+  // const locals; counters the protocol can read mid-resume through Ctx
+  // accessors (work_, ctx.steps_) stay per-step member updates, while
+  // run-local or boundary-visible counters (res.work, tick_, buf_pos_,
+  // starvation_) accumulate in registers and flush at every exit —
+  // including the throwing ones, so a caught exception leaves the
+  // simulator consistent.
+  //
+  // kEvents (an observer is attached): each live grant's awaiter also
   // fills the current slot of the batch event buffer (through ev_cur_; the
   // loop pre-fills time/proc and advances the slot).  Delivery is deferred:
-  // one on_steps(span) per kEventBatch events (and one for the remainder at
-  // every exit of this function) down the chain — so every executed step is
-  // delivered exactly once, in order, before any stop-predicate poll and
-  // before any exception escapes.
+  // one on_steps(span) per kEventBatch events, and one for the remainder at
+  // every exit of this function, so every executed step is delivered
+  // exactly once, in order, before any stop-predicate poll and before any
+  // exception escapes.
   const std::uint32_t* const buf = grant_buf_.data();
   std::coroutine_handle<>* const slots = resume_slots_.data();
   StepEvent* const evs = event_buf_.data();
   StepEvent* const evs_cap = evs + event_buf_.size();
+  // A previously faulted grant was consumed and its exception caught:
+  // re-validate the buffer tail so execution continues past it, exactly
+  // as the single-step engine would.
   if (bad_grant_at_ < buf_pos_) [[unlikely]] validate_grants(buf_pos_);
+  // Grants were range-validated at refill time; stop just before a bad one
+  // so it faults exactly when the single-step engine would have.
   const std::size_t safe_end = std::min(end, bad_grant_at_);
   const std::size_t pos0 = buf_pos_;
   std::size_t pos = pos0;
   // Grants consumed but charged no work: dead (finished-proc) grants plus
   // at most one trailing faulted grant (unknown proc / out-of-range
-  // address — its tick is consumed, its work is not, its event is never
-  // built; the single-step engine accounts faults the same way).
+  // address: its tick is consumed, its work is not, its event is never
+  // built; the single-step engine accounts faults the same way).  Kept on
+  // the cold paths only: the live grants of the batch are then
+  // (pos - pos0) - deads, so the hot path carries no work/starvation
+  // counters at all.
   std::uint64_t deads = 0;
 
+  // Deliver the events filled so far and recycle the buffer, so it stays
+  // L1-resident (see kEventBatch).
+  const auto deliver = [&]() {
+    flush_observers();
+    ev_next_ = evs;
+    ev_flushed_ = evs;
+  };
   const auto flush = [&]() {
     buf_pos_ = pos;
     tick_ += pos - pos0;
     res.work += (pos - pos0) - deads;
-    flush_observers();
-    // Batch done, nothing mid-flight: recycle the buffer.
-    ev_next_ = evs;
-    ev_flushed_ = evs;
+    if constexpr (kEvents) deliver();
   };
 
   bool exhausted = true;
@@ -214,6 +246,8 @@ void Simulator::consume_batch_instr(std::size_t end, bool double_charge,
         // Null slot = finished processor (spawn() invariant): no event.
         ++deads;
         charge_starvation(tick_ + (pos - 1 - pos0));
+        // Work still parked on a predicate boundary: hand back for a
+        // re-poll (matches the single-step engine's per-grant polling).
         if (poll_on_dead && pos - pos0 == deads) {
           exhausted = false;
           break;
@@ -222,143 +256,13 @@ void Simulator::consume_batch_instr(std::size_t end, bool double_charge,
       }
       // Pre-fill the current event slot; the awaiter fills op/before/after
       // through ev_next_ during the resume.  A protocol-hook flush inside
-      // the resume delivers [ev_flushed_, ev_next_) — everything up to the
-      // previous completed step — exactly as the single-step engine had at
+      // the resume delivers [ev_flushed_, ev_next_): everything up to the
+      // previous completed step, exactly as the single-step engine had at
       // that point.
-      StepEvent* const e = ev_next_;
-      e->time = work_;
-      e->proc = p;
-      slots[p] = {};
-      h.resume();
-
-      if (!slots[p]) [[unlikely]] {
-        ProcState& ps = procs_[p];
-        const auto top = ps.task.handle();
-        if (top.promise().exception) [[unlikely]]
-          std::rethrow_exception(top.promise().exception);
-        // No awaiter ran: the final resume is the processor's halting Local
-        // step — account it and eventize it here.
-        ps.finished = true;
-        --alive_;
-        ps.ctx->steps_ += 1;
-        e->op = Op{Op::Kind::Local, 0, 0, 0};
-        e->before = Cell{};
-        e->after = Cell{};
-        ev_next_ = e + 1;
-        work_ += 1;
-        if (double_charge) [[unlikely]] work_ += 1;  // final resume is Local
-        if (ev_next_ == evs_cap) [[unlikely]] {
-          flush_observers();
-          ev_next_ = evs;
-          ev_flushed_ = evs;
-        }
-        if (alive_ == 0 || stop_requested_) {
-          exhausted = false;
-          break;
-        }
-        continue;
-      }
-
-      if (oob_fault_) [[unlikely]] {
-        // The awaiter refused an out-of-range address: nothing executed,
-        // nothing charged, no event (ev_next_ stays put, so the pre-filled
-        // slot is never delivered).  Consume the grant's tick (deads
-        // neutralizes its work charge) and fault exactly as checked
-        // Memory::at did on the pre-batching instrumented path.
-        oob_fault_ = false;
-        ++deads;
-        throw std::out_of_range("apex::sim::Memory: address " +
-                                std::to_string(oob_addr_) + " >= size " +
-                                std::to_string(memory_.size()));
-      }
-
-      ev_next_ = e + 1;
-      work_ += 1;
-      if (ev_next_ == evs_cap) [[unlikely]] {
-        // Sub-batch full: deliver and recycle so the buffer stays
-        // L1-resident (see kEventBatch).
-        flush_observers();
-        ev_next_ = evs;
-        ev_flushed_ = evs;
-      }
-      if (stop_requested_) [[unlikely]] {
-        exhausted = false;
-        break;
-      }
-    }
-    if (exhausted && pos == bad_grant_at_ && pos < end) {
-      ++pos;    // the bad grant consumes its tick, then faults
-      ++deads;  // ...but charges no work (it granted nothing)
-      throw std::logic_error("Simulator: schedule granted unknown proc");
-    }
-  } catch (...) {
-    flush();
-    throw;
-  }
-  flush();
-}
-
-void Simulator::flush_observers_slow() {
-  const std::span<const StepEvent> batch(
-      ev_flushed_, static_cast<std::size_t>(ev_next_ - ev_flushed_));
-  // Mark delivered BEFORE fanning out: a re-entrant flush from inside an
-  // observer then no-ops instead of double-delivering.
-  ev_flushed_ = ev_next_;
-  observers_.on_steps(batch);
-}
-
-void Simulator::consume_batch_fast(std::size_t end, bool double_charge,
-                                   bool poll_on_dead, RunResult& res) {
-  // The hot loop of the whole repo.  The atomic op itself is executed
-  // inline by the step awaiter (fast mode, see proc.h) before the resume
-  // returns, so each iteration is: resume, finish check, accounting.
-  // Everything the resume cannot touch is hoisted into const locals;
-  // counters the protocol can read mid-resume through Ctx accessors
-  // (work_, ctx.steps_) stay per-step member updates, while run-local or
-  // boundary-visible counters (res.work, tick_, buf_pos_, starvation_)
-  // accumulate in registers and flush at every exit — including the
-  // throwing ones, so a caught exception leaves the simulator consistent.
-  const std::uint32_t* const buf = grant_buf_.data();
-  std::coroutine_handle<>* const slots = resume_slots_.data();
-  // A previously faulted grant was consumed and its exception caught:
-  // re-validate the buffer tail so execution continues past it, exactly
-  // as the single-step engine would.
-  if (bad_grant_at_ < buf_pos_) [[unlikely]] validate_grants(buf_pos_);
-  // Grants were range-validated at refill time; stop just before a bad one
-  // so it faults exactly when the single-step engine would have.
-  const std::size_t safe_end = std::min(end, bad_grant_at_);
-  const std::size_t pos0 = buf_pos_;
-  std::size_t pos = pos0;
-  // Dead (finished-proc) grants consumed, maintained only on the cold
-  // paths; the live grants of the batch are then (pos - pos0) - deads, so
-  // the hot path carries no work/starvation counters at all.  The live
-  // loop state (this, pos, buf, slots, safe_end + one temporary) fits the
-  // callee-saved registers, so nothing spills across the resume call.
-  std::uint64_t deads = 0;
-
-  const auto flush = [&]() noexcept {
-    buf_pos_ = pos;
-    tick_ += pos - pos0;
-    res.work += (pos - pos0) - deads;
-  };
-
-  bool exhausted = true;
-  try {
-    while (pos < safe_end) {
-      const std::size_t p = buf[pos];
-      ++pos;
-      const std::coroutine_handle<> h = slots[p];
-      if (!h) [[unlikely]] {
-        // Null slot = finished processor (spawn() invariant).
-        ++deads;
-        charge_starvation(tick_ + (pos - 1 - pos0));
-        // Work still parked on a predicate boundary: hand back for a
-        // re-poll (matches the single-step engine's per-grant polling).
-        if (poll_on_dead && pos - pos0 == deads) {
-          exhausted = false;
-          break;
-        }
-        continue;
+      StepEvent* const e = kEvents ? ev_next_ : nullptr;
+      if constexpr (kEvents) {
+        e->time = work_;
+        e->proc = p;
       }
       // Clear before resuming: a suspension re-stores the slot (and the
       // awaiter accounts the step), so a slot still null afterwards means
@@ -373,27 +277,50 @@ void Simulator::consume_batch_fast(std::size_t end, bool double_charge,
         const auto top = ps.task.handle();
         if (top.promise().exception) [[unlikely]]
           std::rethrow_exception(top.promise().exception);
-        // No awaiter ran, so account the final step here.
+        // No awaiter ran: the final resume is the processor's halting Local
+        // step, accounted (and eventized) here.
         ps.finished = true;
         --alive_;
         ps.ctx->steps_ += 1;
         work_ += 1;
         if (double_charge) [[unlikely]] work_ += 1;  // final resume is Local
-        if (alive_ == 0 || stop_requested_) {
+        if constexpr (kEvents) {
+          e->op = Op{Op::Kind::Local, 0, 0, 0};
+          e->before = Cell{};
+          e->after = Cell{};
+          ev_next_ = e + 1;
+          if (ev_next_ == evs_cap) [[unlikely]] deliver();
+        }
+        if (alive_ == 0) {
           exhausted = false;
           break;
         }
         continue;
       }
 
+      if constexpr (kEvents) {
+        if (oob_fault_) [[unlikely]] {
+          // The awaiter refused an out-of-range address: nothing executed,
+          // nothing charged, no event (ev_next_ stays put, so the
+          // pre-filled slot is never delivered).  Consume the grant's tick
+          // (deads neutralizes its work charge) and fault exactly as
+          // checked Memory::at does on the single-step engine.
+          oob_fault_ = false;
+          ++deads;
+          throw std::out_of_range("apex::sim::Memory: address " +
+                                  std::to_string(oob_addr_) + " >= size " +
+                                  std::to_string(memory_.size()));
+        }
+      }
       work_ += 1;
-      if (stop_requested_) [[unlikely]] {
-        exhausted = false;
-        break;
+      if constexpr (kEvents) {
+        ev_next_ = e + 1;
+        if (ev_next_ == evs_cap) [[unlikely]] deliver();
       }
     }
     if (exhausted && pos == bad_grant_at_ && pos < end) {
-      ++pos;  // the bad grant consumes its tick, then faults
+      ++pos;    // the bad grant consumes its tick, then faults
+      ++deads;  // ...but charges no work (it granted nothing)
       throw std::logic_error("Simulator: schedule granted unknown proc");
     }
   } catch (...) {
@@ -432,11 +359,6 @@ Simulator::RunResult Simulator::run_batched(
       res.all_finished = true;
       break;
     }
-    if (stop_requested_) {
-      res.stop_requested = true;
-      stop_requested_ = false;
-      break;
-    }
     if (stop && res.work % check_interval == 0 && stop()) {
       res.predicate_hit = true;
       break;
@@ -459,9 +381,9 @@ Simulator::RunResult Simulator::run_batched(
     const bool poll_on_dead =
         stop != nullptr && res.work % check_interval == 0;
     if (instrumented)
-      consume_batch_instr(buf_pos_ + take, double_charge, poll_on_dead, res);
+      consume_batch<true>(buf_pos_ + take, double_charge, poll_on_dead, res);
     else
-      consume_batch_fast(buf_pos_ + take, double_charge, poll_on_dead, res);
+      consume_batch<false>(buf_pos_ + take, double_charge, poll_on_dead, res);
   }
   return res;
 }
@@ -482,11 +404,6 @@ Simulator::RunResult Simulator::run_single_step(
   while (res.work < max_steps) {
     if (alive_ == 0) {
       res.all_finished = true;
-      break;
-    }
-    if (stop_requested_) {
-      res.stop_requested = true;
-      stop_requested_ = false;
       break;
     }
     if (stop && res.work % check_interval == 0 && stop()) {
@@ -540,7 +457,5 @@ void Ctx::flag_oob(std::size_t addr) noexcept {
 }
 
 std::size_t Ctx::nprocs() const noexcept { return sim_->nprocs(); }
-
-void Ctx::request_stop() const noexcept { sim_->request_stop(); }
 
 }  // namespace apex::sim

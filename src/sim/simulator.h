@@ -9,8 +9,9 @@
 //   kBatched (default)  pulls grants from the schedule in bulk via
 //       Schedule::fill() and consumes them from an internal buffer, with the
 //       stop-predicate / alive / starvation checks hoisted to batch
-//       boundaries and an observer-free fast grant path selected once per
-//       run().  This is the production hot path.
+//       boundaries.  One consume loop, instantiated with and without event
+//       capture; run() picks the instantiation once, by whether an observer
+//       is attached.  This is the production hot path.
 //   kSingleStep         the reference engine: one virtual Schedule::next()
 //       call, one fully instrumented grant per step.  Kept for equivalence
 //       tests and as the perf baseline (`apexcli perfbench` measures both).
@@ -85,15 +86,13 @@ class Simulator {
 
   struct RunResult {
     std::uint64_t work = 0;     ///< Work units consumed by this run() call.
-    bool stop_requested = false;
     bool all_finished = false;
     bool predicate_hit = false;
   };
 
   /// Run until: `max_steps` more work units are consumed, every processor
-  /// finished, stop was requested, or `stop` (checked every
-  /// `check_interval` consumed work units) returns true.  May be called
-  /// repeatedly.
+  /// finished, or `stop` (checked every `check_interval` consumed work
+  /// units) returns true.  May be called repeatedly.
   RunResult run(std::uint64_t max_steps,
                 const std::function<bool()>& stop = nullptr,
                 std::uint64_t check_interval = 256);
@@ -111,8 +110,6 @@ class Simulator {
   std::uint64_t proc_steps(std::size_t i) const {
     return procs_.at(i).ctx->steps();
   }
-
-  bool finished(std::size_t i) const { return procs_.at(i).finished; }
 
   /// Attach an observer to the chain (delivery in attach order).  Any
   /// attached observer switches run() to the instrumented grant path.
@@ -133,11 +130,7 @@ class Simulator {
     if (ev_next_ != ev_flushed_) flush_observers_slow();
   }
 
-  void request_stop() noexcept { stop_requested_ = true; }
-
   const Schedule& schedule() const noexcept { return *schedule_; }
-
-  GrantEngine engine() const noexcept { return engine_; }
 
  private:
   struct ProcState {
@@ -155,24 +148,20 @@ class Simulator {
   /// Returns false if p had already finished (no work charged).
   bool grant_instrumented(std::size_t p, bool double_charge);
 
-  /// Consume buffered grants [buf_pos_, end) through the batched
-  /// instrumented path: ops executed inline by the awaiters (which also
-  /// fill the batch event buffer through cur_ev_), events flushed as one
-  /// on_steps(span) at every exit.  Returns on exhaustion, stop request, or
-  /// last processor finish.
+  /// Consume buffered grants [buf_pos_, end): ops executed inline by the
+  /// awaiters against raw memory, invariant pointers hoisted out of the
+  /// loop.  With kEvents (an observer is attached) the awaiters also fill
+  /// the batch event buffer through ev_cur_, and the events go down the
+  /// chain as on_steps(span) calls, the last at every exit.  Returns on
+  /// exhaustion or last processor finish.
   /// `poll_on_dead`: the batch began exactly on a stop-predicate boundary,
   /// so a grant to a finished processor before any live grant must return
   /// to the caller for a re-poll — the single-step engine re-evaluates the
   /// predicate on every such grant (work parked on the boundary), and a
   /// stateful predicate must observe the same number of calls.
-  void consume_batch_instr(std::size_t end, bool double_charge,
-                           bool poll_on_dead, RunResult& res);
-
-  /// Same, through the no-observer fast path: no StepEvent construction,
-  /// ops executed inline by the awaiters against raw memory, invariant
-  /// pointers hoisted out of the loop.
-  void consume_batch_fast(std::size_t end, bool double_charge,
-                          bool poll_on_dead, RunResult& res);
+  template <bool kEvents>
+  void consume_batch(std::size_t end, bool double_charge, bool poll_on_dead,
+                     RunResult& res);
 
   /// Refill the grant buffer from the schedule (at most one fill() call).
   void refill_grants();
@@ -213,7 +202,6 @@ class Simulator {
   std::uint64_t last_dead_tick_ = ~0ULL;
   GrantEngine engine_ = GrantEngine::kBatched;
   bool prefetchable_ = true;
-  bool stop_requested_ = false;
   bool started_ = false;
   CompositeObserver observers_;
   std::vector<std::uint32_t> grant_buf_;
@@ -228,9 +216,8 @@ class Simulator {
   /// Out-of-line tail of flush_observers().
   void flush_observers_slow();
 
-  /// Batch event buffer (instrumented batched runs).  Sized like the grant
-  /// buffer: a batch of k grants yields at most k events, so a batch can
-  /// never overflow it mid-loop.
+  /// Batch event buffer (instrumented batched runs), kEventBatch entries:
+  /// the consume loop delivers and recycles it whenever it fills.
   std::vector<StepEvent> event_buf_;
   /// Cursors into event_buf_: [ev_flushed_, ev_next_) is filled but not
   /// yet delivered; ev_next_ is the slot the CURRENT grant's awaiter fills

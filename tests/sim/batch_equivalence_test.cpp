@@ -228,8 +228,6 @@ void expect_equal(const Outcome& a, const Outcome& b, const char* label) {
   ASSERT_EQ(a.results.size(), b.results.size()) << label;
   for (std::size_t i = 0; i < a.results.size(); ++i) {
     EXPECT_EQ(a.results[i].work, b.results[i].work) << label;
-    EXPECT_EQ(a.results[i].stop_requested, b.results[i].stop_requested)
-        << label;
     EXPECT_EQ(a.results[i].all_finished, b.results[i].all_finished) << label;
     EXPECT_EQ(a.results[i].predicate_hit, b.results[i].predicate_hit)
         << label;
@@ -405,22 +403,35 @@ class BadGrantSchedule final : public Schedule {
 TEST(BatchEquivalence, RunContinuesPastCaughtUnknownProcFault) {
   // The bad grant consumes its tick and faults; a caller that catches the
   // logic_error and runs again must see execution continue with the
-  // remaining (valid) grants — identically under both engines.
-  auto go = [](GrantEngine engine) {
+  // remaining (valid) grants — identically under both engines, and with or
+  // without an observer (which selects the batched loop's event-capturing
+  // instantiation).
+  struct CountingObs final : StepObserver {
+    std::uint64_t events = 0;
+    void on_step(const StepEvent&) override { ++events; }
+  };
+  auto go = [](GrantEngine engine, CountingObs* obs) {
     SimConfig cfg{2, 4, 1};
     cfg.engine = engine;
     Simulator sim(cfg, std::make_unique<BadGrantSchedule>(2, 7));
     sim.spawn([](Ctx& c) { return incrementer(c, 0, 1000); });
     sim.spawn([](Ctx& c) { return incrementer(c, 1, 1000); });
+    sim.add_observer(obs);
     EXPECT_THROW(sim.run(100), std::logic_error);
     const auto ticks_at_fault = sim.ticks();
     const auto res = sim.run(10);  // must make normal progress
+    if (obs != nullptr) {
+      EXPECT_EQ(obs->events, sim.total_work());
+    }
     return std::tuple{ticks_at_fault, res.work, sim.total_work(),
                       sim.ticks(), sim.memory().at(0), sim.memory().at(1)};
   };
-  const auto a = go(GrantEngine::kBatched);
-  const auto b = go(GrantEngine::kSingleStep);
+  CountingObs obs;
+  const auto a = go(GrantEngine::kBatched, nullptr);
+  const auto b = go(GrantEngine::kSingleStep, nullptr);
+  const auto c = go(GrantEngine::kBatched, &obs);
   EXPECT_EQ(a, b);
+  EXPECT_EQ(c, b);
   EXPECT_EQ(std::get<0>(a), 8u);   // 7 good grants + the faulting tick
   EXPECT_EQ(std::get<1>(a), 10u);  // second run() proceeded normally
 }

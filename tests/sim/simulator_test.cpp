@@ -137,24 +137,6 @@ TEST(Simulator, StopPredicateHalts) {
   EXPECT_LT(sim.total_work(), 600u);
 }
 
-TEST(Simulator, RequestStopFromProc) {
-  struct {
-  } dummy;
-  (void)dummy;
-  auto sim = make_sim(2, 2);
-  sim.spawn([&](Ctx& c) -> ProcTask {
-    return [](Ctx& ctx) -> ProcTask {
-      for (int i = 0; i < 3; ++i) co_await ctx.local();
-      ctx.request_stop();
-      for (;;) co_await ctx.local();
-    }(c);
-  });
-  sim.spawn([&](Ctx& c) { return waiter(c, 0, 1); });
-  const auto res = sim.run(100000);
-  EXPECT_TRUE(res.stop_requested);
-  EXPECT_LT(sim.total_work(), 100u);
-}
-
 TEST(Simulator, ExceptionInProcPropagates) {
   auto sim = make_sim(1, 2);
   sim.spawn([&](Ctx& c) { return thrower(c); });
