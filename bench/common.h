@@ -5,7 +5,9 @@
 // matches the prediction (so `for b in build/bench/*; do $b; done` doubles
 // as a reproduction check).  `--csv` switches to CSV; `--full` enlarges the
 // sweeps; `--seeds=K` controls replication; `--jobs=N` runs the trial grid
-// on N worker threads (0 = all hardware threads, default 1).
+// on N worker threads (0 = all hardware threads, default 1).  Any other
+// token, or a number that is not plain decimal digits, is a usage error
+// (exit 2).
 //
 // Parallelism is deterministic: each driver enumerates its full
 // (config, seed) grid up-front and hands it to batch::SweepEngine, which
@@ -17,14 +19,16 @@
 // throughput: those columns vary run to run by nature, at any `--jobs`.)
 #pragma once
 
+#include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "batch/sweep.h"
+#include "util/cliargs.h"
 #include "util/table.h"
 
 namespace apex::bench {
@@ -35,36 +39,40 @@ struct Options {
   int seeds = 3;
   std::size_t jobs = 1;
 
-  static long parse_num(const std::string& flag, const std::string& value) {
-    try {
-      std::size_t pos = 0;
-      const long v = std::stol(value, &pos);
-      if (pos != value.size() || v < 0) throw std::invalid_argument(value);
-      return v;
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "%s expects a non-negative integer, got '%s'\n",
-                   flag.c_str(), value.c_str());
-      std::exit(2);
-    }
-  }
-
   static Options parse(int argc, char** argv) {
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a == "--csv") o.csv = true;
-      else if (a == "--full") o.full = true;
-      else if (a.rfind("--seeds=", 0) == 0)
-        o.seeds = static_cast<int>(parse_num("--seeds", a.substr(8)));
-      else if (a.rfind("--jobs=", 0) == 0)
-        o.jobs = static_cast<std::size_t>(parse_num("--jobs", a.substr(7)));
-      else if (a == "--help" || a == "-h") {
-        std::printf("usage: %s [--csv] [--full] [--seeds=K] [--jobs=N]\n",
-                    argv[0]);
-        std::exit(0);
-      }
+    const cli::ParsedArgs a = cli::parse_argv(argc, argv, false);
+    const auto usage = [&](std::FILE* to) {
+      std::fprintf(to, "usage: %s [--csv] [--full] [--seeds=K] [--jobs=N]\n",
+                   argv[0]);
+    };
+    if (a.kv.count("help") != 0 ||
+        std::count(a.positional.begin(), a.positional.end(), "-h") != 0) {
+      usage(stdout);
+      std::exit(0);
     }
-    if (o.seeds < 1) o.seeds = 1;
+    const auto fail = [&](const std::string& msg) {
+      std::fprintf(stderr, "%s\n", msg.c_str());
+      usage(stderr);
+      std::exit(2);
+    };
+    const std::string err =
+        cli::validate_args(a, {"csv", "full", "seeds", "jobs"}, 0);
+    if (!err.empty()) fail(err);
+    const auto num = [&](const std::string& key, std::uint64_t dflt,
+                         std::uint64_t max) {
+      const auto it = a.kv.find(key);
+      if (it == a.kv.end()) return dflt;
+      const auto v = cli::parse_u64_strict(it->second);
+      if (!v || *v > max)
+        fail("--" + key + " expects an integer in [0, " +
+             std::to_string(max) + "], got '" + it->second + "'");
+      return *v;
+    };
+    Options o;
+    o.csv = a.kv.count("csv") != 0;
+    o.full = a.kv.count("full") != 0;
+    o.seeds = std::max(1, static_cast<int>(num("seeds", o.seeds, INT_MAX)));
+    o.jobs = static_cast<std::size_t>(num("jobs", o.jobs, SIZE_MAX));
     return o;
   }
 

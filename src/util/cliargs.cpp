@@ -16,10 +16,11 @@ std::optional<std::uint64_t> parse_u64_strict(const std::string& s) {
   return v;
 }
 
-ParsedArgs parse_argv(int argc, char** argv) {
+ParsedArgs parse_argv(int argc, char** argv, bool subcommand) {
   ParsedArgs a;
-  if (argc >= 2) a.cmd = argv[1];
-  for (int i = 2; i < argc; ++i) {
+  const int first = subcommand ? 2 : 1;
+  if (argc >= first) a.cmd = argv[first - 1];
+  for (int i = first; i < argc; ++i) {
     const std::string s = argv[i];
     if (s.rfind("--", 0) == 0) {
       const auto eq = s.find('=');

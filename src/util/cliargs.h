@@ -1,4 +1,4 @@
-// Strict command-line parsing for apexcli.
+// Strict command-line parsing for apexcli and the bench drivers.
 //
 // The original Args::parse silently DROPPED any token that didn't start
 // with `--` and silently accepted unknown flags, so a typo like
@@ -24,14 +24,18 @@ namespace apex::cli {
 std::optional<std::uint64_t> parse_u64_strict(const std::string& s);
 
 struct ParsedArgs {
-  std::string cmd;                           ///< argv[1] ("" if absent).
+  /// argv[1] ("" if absent); argv[0] for a program without subcommands.
+  std::string cmd;
   std::map<std::string, std::string> kv;     ///< --key=value / --key -> "1".
   std::vector<std::string> positional;       ///< Everything else, in order.
 };
 
 /// Split argv into subcommand, flags, and positionals.  No validation —
 /// every token is preserved so validate_args can account for all of them.
-ParsedArgs parse_argv(int argc, char** argv);
+/// A program without subcommands (a bench driver) passes `subcommand =
+/// false`: every token from argv[1] on is then a flag or a positional, and
+/// `cmd` holds argv[0], so validate_args' messages name the program.
+ParsedArgs parse_argv(int argc, char** argv, bool subcommand = true);
 
 /// Check `a` against a subcommand's declared contract: every flag must be
 /// in `allowed`, and at most `max_positional` positional arguments are

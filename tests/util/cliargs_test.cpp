@@ -54,6 +54,16 @@ TEST(ParseArgv, SplitsFlagsAndPositionals) {
   EXPECT_EQ(a.kv.at("csv"), "1");  // bare flag -> "1"
 }
 
+TEST(ParseArgv, WithoutSubcommandEveryTokenIsAnArgument) {
+  std::vector<std::string> v = {"bench_e1", "--seeds=3", "extra"};
+  const ParsedArgs a =
+      parse_argv(static_cast<int>(v.size()), fake_argv(v), false);
+  EXPECT_EQ(a.cmd, "bench_e1");  // the program, for validate_args' messages
+  EXPECT_EQ(a.kv.at("seeds"), "3");
+  ASSERT_EQ(a.positional.size(), 1u);
+  EXPECT_EQ(a.positional[0], "extra");
+}
+
 TEST(ParseArgv, EmptyArgv) {
   std::vector<std::string> v = {"apexcli"};
   const ParsedArgs a = parse_argv(1, fake_argv(v));

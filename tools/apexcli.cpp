@@ -750,6 +750,13 @@ int cmd_perfbench(const Args& a) {
       a.u64("steps", quick ? 1'000'000 : 4'000'000);
   const int reps = static_cast<int>(a.u64("reps", 3));
   const std::string out_path = a.str("out", "BENCH_core.json");
+  // Zero steps or reps would measure nothing and still write rows that
+  // read as passed runs.
+  if (steps == 0 || reps < 1) {
+    std::fprintf(stderr, "apexcli perfbench: --steps and --reps must be "
+                         "positive\n");
+    return 2;
+  }
 
   std::vector<sim::ScheduleKind> kinds = {sim::ScheduleKind::kRoundRobin,
                                           sim::ScheduleKind::kUniformRandom};
