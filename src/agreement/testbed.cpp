@@ -80,7 +80,6 @@ AgreementTestbed::AgreementTestbed(TestbedConfig cfg, TaskFn task,
 
   rt_.cfg.n = cfg.n;
   rt_.cfg.beta = cfg.beta;
-  rt_.cfg.compute_steps = cfg.compute_steps;
   rt_.bins = bins_.get();
   rt_.clock = clock_.get();
   rt_.task = std::move(task);

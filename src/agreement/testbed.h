@@ -27,7 +27,6 @@ struct TestbedConfig {
   double clock_alpha = 24.0;
   std::uint64_t seed = 1;
   sim::ScheduleKind schedule = sim::ScheduleKind::kUniformRandom;
-  std::size_t compute_steps = 1;      ///< Step budget of the task function.
   /// Grant engine for the underlying simulator (the fuzzer's engine-
   /// equivalence corpus runs the same trial through both).
   sim::GrantEngine engine = sim::GrantEngine::kBatched;
@@ -55,6 +54,9 @@ SupportFn identity_support();
 
 class AgreementTestbed {
  public:
+  /// `task` must cost at most one atomic step per invocation, the
+  /// runtime's default AgreementConfig::compute_steps (the tasks above
+  /// each cost one).
   AgreementTestbed(TestbedConfig cfg, TaskFn task, SupportFn support);
 
   struct Result {

@@ -10,6 +10,10 @@ namespace {
 
 constexpr std::size_t kMaxLoggedSegments = 64;
 
+/// Segment lengths are drawn log-uniformly from [kMinSegment, kMaxSegment].
+constexpr std::uint64_t kMinSegment = 16;
+constexpr std::uint64_t kMaxSegment = 4096;
+
 std::string fmt(const char* f, double x) {
   char buf[64];
   std::snprintf(buf, sizeof buf, f, x);
@@ -18,18 +22,14 @@ std::string fmt(const char* f, double x) {
 
 }  // namespace
 
-FuzzedSchedule::FuzzedSchedule(FuzzScheduleConfig cfg)
-    : Schedule(cfg.nprocs), cfg_(cfg), rng_(apex::mix64(cfg.seed, 0xF022)) {
-  if (cfg_.min_segment == 0 || cfg_.max_segment < cfg_.min_segment)
-    throw std::invalid_argument(
-        "FuzzedSchedule: need 0 < min_segment <= max_segment");
-}
+FuzzedSchedule::FuzzedSchedule(std::size_t nprocs, std::uint64_t seed)
+    : Schedule(nprocs), rng_(apex::mix64(seed, 0xF022)) {}
 
 void FuzzedSchedule::new_segment() {
   const std::size_t n = nprocs_;
   // Log-uniform segment length: short splices and long sieges both common.
-  const double lo = std::log(static_cast<double>(cfg_.min_segment));
-  const double hi = std::log(static_cast<double>(cfg_.max_segment));
+  const double lo = std::log(static_cast<double>(kMinSegment));
+  const double hi = std::log(static_cast<double>(kMaxSegment));
   remaining_ = static_cast<std::uint64_t>(
       std::exp(lo + (hi - lo) * rng_.uniform()));
   remaining_ = std::max<std::uint64_t>(1, remaining_);

@@ -28,19 +28,9 @@
 
 namespace apex::check {
 
-struct FuzzScheduleConfig {
-  std::size_t nprocs = 0;
-  std::uint64_t seed = 1;
-  /// Segment lengths are drawn log-uniformly from [min_segment, max_segment].
-  std::uint64_t min_segment = 16;
-  std::uint64_t max_segment = 4096;
-};
-
 class FuzzedSchedule final : public sim::Schedule {
  public:
-  explicit FuzzedSchedule(FuzzScheduleConfig cfg);
-  FuzzedSchedule(std::size_t nprocs, std::uint64_t seed)
-      : FuzzedSchedule(FuzzScheduleConfig{nprocs, seed, 16, 4096}) {}
+  FuzzedSchedule(std::size_t nprocs, std::uint64_t seed);
 
   std::size_t next(std::uint64_t t) override;
 
@@ -59,7 +49,6 @@ class FuzzedSchedule final : public sim::Schedule {
  private:
   void new_segment();
 
-  FuzzScheduleConfig cfg_;
   apex::Rng rng_;                          ///< Segment-composition stream.
   std::unique_ptr<sim::Schedule> inner_;   ///< Current segment's adversary.
   std::uint64_t remaining_ = 0;            ///< Grants left in the segment.

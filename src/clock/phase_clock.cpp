@@ -10,9 +10,8 @@ namespace apex::clockx {
 PhaseClock::PhaseClock(sim::Memory& mem, ClockConfig cfg) : mem_(&mem) {
   if (cfg.nprocs == 0) throw std::invalid_argument("PhaseClock: nprocs == 0");
   if (cfg.alpha <= 0.0) throw std::invalid_argument("PhaseClock: alpha <= 0");
-  m_ = cfg.slots != 0 ? cfg.slots : cfg.nprocs;
-  s_ = cfg.read_samples != 0 ? cfg.read_samples
-                             : static_cast<std::size_t>(3 * lg(cfg.nprocs));
+  m_ = cfg.nprocs;
+  s_ = static_cast<std::size_t>(3 * lg(cfg.nprocs));
   tau_ = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(cfg.alpha * static_cast<double>(cfg.nprocs)));
   base_ = mem.extend(m_);

@@ -47,10 +47,10 @@ class TickListener {
   virtual void on_tick(std::uint64_t tick) = 0;
 };
 
+/// The slot count m = n and the sample count s = 3·lg(n) are fixed by n,
+/// as in the host executor's clock.
 struct ClockConfig {
   std::size_t nprocs = 0;      ///< n.
-  std::size_t slots = 0;       ///< m; 0 means use n.
-  std::size_t read_samples = 0;///< s; 0 means use 3·lg(n).
   double alpha = 6.0;          ///< Tick threshold τ = α·n updates.
 };
 

@@ -52,13 +52,6 @@ TEST(FuzzedSchedule, SingleProcDegenerate) {
   for (std::uint64_t t = 0; t < 20000; ++t) ASSERT_EQ(s.next(t), 0u);
 }
 
-TEST(FuzzedSchedule, ValidatesSegmentBounds) {
-  EXPECT_THROW(FuzzedSchedule(FuzzScheduleConfig{4, 1, 0, 16}),
-               std::invalid_argument);
-  EXPECT_THROW(FuzzedSchedule(FuzzScheduleConfig{4, 1, 32, 16}),
-               std::invalid_argument);
-}
-
 TEST(RecordingSchedule, TraceReplaysExactly) {
   RecordingSchedule rec(std::make_unique<FuzzedSchedule>(6, 77));
   std::vector<std::size_t> live;

@@ -77,7 +77,7 @@ TEST(WorkAccountingOracle, ReconcilesWithRealRun) {
 struct ClockFixture {
   sim::Memory mem{0};
   clockx::PhaseClock clock;
-  ClockFixture() : clock(mem, clockx::ClockConfig{8, 0, 0, 6.0}) {}
+  ClockFixture() : clock(mem, clockx::ClockConfig{8, 6.0}) {}
 };
 
 TEST(ClockOracle, AcceptsReadThenWritePlusOne) {
@@ -191,7 +191,7 @@ TEST(BinArrayOracle, ProvenanceIsPerStamp) {
 
 TEST(ClobberOracle, CountsStaleWritesAndResetsPerPhase) {
   sim::Memory mem{0};
-  clockx::PhaseClock clock(mem, clockx::ClockConfig{4, 0, 0, 1.0});  // tau=4
+  clockx::PhaseClock clock(mem, clockx::ClockConfig{4, 1.0});  // tau=4
   agreement::BinArray bins(mem, 4, 8);
   ClobberOracle o(bins, clock, /*max_per_bin=*/2);
 
