@@ -65,6 +65,7 @@
 // Exit code 0 = run completed and all checked invariants held.
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -748,15 +749,16 @@ int cmd_perfbench(const Args& a) {
   const bool quick = a.kv.count("quick") != 0;
   const std::uint64_t steps =
       a.u64("steps", quick ? 1'000'000 : 4'000'000);
-  const int reps = static_cast<int>(a.u64("reps", 3));
+  const std::uint64_t reps_arg = a.u64("reps", 3);
   const std::string out_path = a.str("out", "BENCH_core.json");
   // Zero steps or reps would measure nothing and still write rows that
   // read as passed runs.
-  if (steps == 0 || reps < 1) {
+  if (steps == 0 || reps_arg == 0 || reps_arg > INT_MAX) {
     std::fprintf(stderr, "apexcli perfbench: --steps and --reps must be "
-                         "positive\n");
+                         "positive (--reps at most %d)\n", INT_MAX);
     return 2;
   }
+  const int reps = static_cast<int>(reps_arg);
 
   std::vector<sim::ScheduleKind> kinds = {sim::ScheduleKind::kRoundRobin,
                                           sim::ScheduleKind::kUniformRandom};
