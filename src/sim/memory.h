@@ -41,9 +41,9 @@ class Memory {
   }
 
   /// Raw cell array the batched engine's step awaiters execute against
-  /// (proc.h).  The pointer is stable for the duration of a run(): regions are carved out with
-  /// extend() strictly before processors run (extending mid-run would
-  /// invalidate it and is not supported).
+  /// (proc.h).  The pointer is stable for the duration of a run(): regions
+  /// are carved out with extend() strictly before processors run
+  /// (extending mid-run would invalidate it and is not supported).
   Cell* data() noexcept { return cells_.data(); }
   const Cell* data() const noexcept { return cells_.data(); }
 
