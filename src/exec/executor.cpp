@@ -90,22 +90,6 @@ struct Executor::Impl {
       if (!v) co_return agreement::TaskResult{};
       xv = *v;
     }
-    if (ins.op == pram::OpCode::kGather) {
-      // Data-dependent addressing: the index value xv picks the target
-      // variable at run time; the writer table answers "who last wrote it
-      // before step s" for EVERY variable, so the timestamp discipline is
-      // unchanged — only the table lookup moves to run time.
-      const std::uint32_t target = pram::gather_target(ins, xv);
-      if (target != pram::kGatherOutOfRange) {
-        const auto v = co_await read_operand(
-            ctx, target,
-            prog->last_writer_before(s, target));
-        if (!v) co_return agreement::TaskResult{};
-        yv = *v;
-      }
-      co_await ctx.local();
-      co_return agreement::TaskResult{yv};
-    }
     if (r >= 2) {
       const auto v = co_await read_operand(ctx, ins.y, w.y);
       if (!v) co_return agreement::TaskResult{};
@@ -117,35 +101,24 @@ struct Executor::Impl {
       cv = *v;
     }
     if (ins.op == pram::OpCode::kGatherDyn) {
-      // Like kGather, but base and bound came from the x/y/c operand reads
-      // above; the static segment caps the computed target, so the writer
-      // table covers it the same way.
+      // Data-dependent addressing: index, base offset and bound came from
+      // the x/y/c operand reads above and pick the target variable at run
+      // time.  The writer table answers "who last wrote it before step s"
+      // for EVERY variable, so the timestamp discipline is unchanged — only
+      // the table lookup moves to run time.  The resolved read becomes y.
       const std::uint32_t target =
           pram::gather_dyn_target(ins, xv + yv, cv);
-      sim::Word wv = 0;
+      yv = 0;
       if (target != pram::kGatherOutOfRange) {
         const auto v = co_await read_operand(
             ctx, target, prog->last_writer_before(s, target));
         if (!v) co_return agreement::TaskResult{};
-        wv = *v;
+        yv = *v;
       }
-      co_await ctx.local();
-      co_return agreement::TaskResult{wv};
     }
     co_await ctx.local();  // the basic computation / random draw
-    switch (ins.op) {
-      case pram::OpCode::kRandBelow:
-        co_return agreement::TaskResult{ins.imm == 0 ? 0
-                                                     : ctx.rng().below(ins.imm)};
-      case pram::OpCode::kCoin:
-        co_return agreement::TaskResult{
-            ctx.rng().uniform() * 4294967296.0 < static_cast<double>(ins.imm)
-                ? 1
-                : 0};
-      default:
-        co_return agreement::TaskResult{
-            pram::eval_deterministic(ins, xv, yv, cv)};
-    }
+    co_return agreement::TaskResult{
+        pram::eval_instr(ins, xv, yv, cv, ctx.rng())};
   }
 
   /// Deterministic-scheme Compute: pick a random task, evaluate it, write

@@ -234,30 +234,6 @@ bool HostExecutor::eval(HostProc& p, std::size_t s, std::size_t i,
     }
     xv = c.value;
   }
-  if (pl.op == pram::OpCode::kGather) {
-    // Data-dependent addressing: resolve the computed target against the
-    // sparse last-writer index (a binary search over that variable's write
-    // steps — graph-scale programs cannot afford the dense per-step row the
-    // old layout snapshotted), same timestamp discipline as a static
-    // operand.  Out-of-window index reads 0.
-    const std::uint32_t target = pram::gather_target(*pl.ins, xv);
-    std::uint64_t gv = 0;
-    if (target != pram::kGatherOutOfRange) {
-      const std::uint32_t want = static_cast<std::uint32_t>(
-          pram::stamp_of_writer(prog_->last_writer_before(s, target)));
-      const std::size_t addr = var_addr(target, want);
-      const HostCell c = mem_.read_unchecked(addr, kLd);
-      p.compute_work += 1;
-      if (c.stamp != want) {
-        ++p.misses;
-        return false;
-      }
-      gv = c.value;
-    }
-    p.compute_work += 1;
-    out = gv;
-    return true;
-  }
   if (pl.nreads >= 2) {
     const HostCell c = mem_.read_unchecked(pl.y_addr, kLd);
     p.compute_work += 1;
@@ -277,12 +253,14 @@ bool HostExecutor::eval(HostProc& p, std::size_t s, std::size_t i,
     cv = c.value;
   }
   if (pl.op == pram::OpCode::kGatherDyn) {
-    // Data-DEPENDENT window: base and bound arrived through the x/y/c
-    // operand reads above (index, base offset, bound); the static segment
-    // caps the computed target, and the sparse last-writer index answers
-    // the stamp question exactly as for kGather.
+    // Data-dependent addressing: index, base offset and bound arrived
+    // through the x/y/c operand reads above; the static segment caps the
+    // computed target, and the sparse last-writer index (a binary search
+    // over that variable's write steps — graph-scale programs cannot afford
+    // a dense per-step row) answers the stamp question exactly as for a
+    // static operand.  The resolved read becomes y; out of range reads 0.
     const std::uint32_t target = pram::gather_dyn_target(*pl.ins, xv + yv, cv);
-    std::uint64_t gv = 0;
+    yv = 0;
     if (target != pram::kGatherOutOfRange) {
       const std::uint32_t want = static_cast<std::uint32_t>(
           pram::stamp_of_writer(prog_->last_writer_before(s, target)));
@@ -293,27 +271,12 @@ bool HostExecutor::eval(HostProc& p, std::size_t s, std::size_t i,
         ++p.misses;
         return false;
       }
-      gv = c.value;
+      yv = c.value;
     }
-    p.compute_work += 1;
-    out = gv;
-    return true;
   }
   p.compute_work += 1;  // the basic computation / random draw
-  switch (pl.op) {
-    case pram::OpCode::kRandBelow:
-      out = pl.ins->imm == 0 ? 0 : p.rng.below(pl.ins->imm);
-      return true;
-    case pram::OpCode::kCoin:
-      out = p.rng.uniform() * 4294967296.0 <
-                    static_cast<double>(pl.ins->imm)
-                ? 1
-                : 0;
-      return true;
-    default:
-      out = pram::eval_deterministic(*pl.ins, xv, yv, cv);
-      return true;
-  }
+  out = pram::eval_instr(*pl.ins, xv, yv, cv, p.rng);
+  return true;
 }
 
 [[gnu::flatten]] bool HostExecutor::visit(HostProc& vp) {

@@ -146,7 +146,7 @@ struct HostExecResult {
   std::uint64_t compute_work = 0;
   std::uint64_t copy_work = 0;
   double wall_seconds = 0.0;
-  std::vector<std::uint64_t> memory;  ///< Final value of each variable.
+  std::vector<pram::Word> memory;  ///< Final value of each variable.
   std::uint64_t stamp_misses = 0;     ///< Operand reads that found a stale
                                       ///< stamp and retried (normal).
   /// First fault: a worker-side one (e.g. a program value exceeding the
@@ -227,7 +227,7 @@ class HostExecutor {
     std::uint32_t x_addr, y_addr, c_addr;  ///< Operand generation slots.
     std::uint32_t x_want, y_want, c_want;  ///< Expected operand stamps.
     std::uint32_t z_addr;      ///< Commit slot (writes only).
-    const pram::Instr* ins;    ///< For eval_deterministic / imm / gather.
+    const pram::Instr* ins;    ///< For eval_instr and gather_dyn's segment.
   };
 
   void worker(std::size_t tid);

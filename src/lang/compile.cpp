@@ -249,8 +249,7 @@ class Analyzer {
     static constexpr int kWritten[2][4] = {{0, 1, 2, 3}, {0, 3, 1, 2}};
     const RefRec* refs[] = {&lane.z, &lane.x, &lane.y, &lane.c};
     std::uint64_t id[4] = {};  // z, x, y, c
-    const int n =
-        pram::writes_dest(op) + pram::reads_of(op) + pram::reads_window(op);
+    const int n = pram::writes_dest(op) + pram::reads_of(op);
     bool ok = true;
     for (int i = 0; i < n; ++i) {
       const int k = kWritten[op == OpCode::kSelect][i];
@@ -268,23 +267,6 @@ class Analyzer {
       error(lane.imm_at,
             "coin immediate exceeds 2^32 (fixed-point probability)");
       return std::nullopt;
-    }
-    if (op == OpCode::kGather) {
-      if (lane.imm == 0) {
-        error(lane.imm_at, "gather window length is 0");
-        return std::nullopt;
-      }
-      if (lane.imm > kMaxVarId) {
-        error(lane.imm_at, "gather window length overflows 32 bits");
-        return std::nullopt;
-      }
-      if (id[2] + lane.imm > nvars_) {
-        error(lane.y.at, "gather window [v" + std::to_string(id[2]) + ", v" +
-                             std::to_string(id[2] + lane.imm) +
-                             ") exceeds vars=" + std::to_string(nvars_));
-        return std::nullopt;
-      }
-      return pram::Instr::gather(ins.z, ins.x, ins.y, u32(lane.imm));
     }
     if (op == OpCode::kGatherDyn) {
       const auto it = segs_.find(spelled(lane.imm_at));
@@ -318,15 +300,8 @@ class Analyzer {
         if (lane == nullptr) continue;  // implicit nop
         const int r = pram::reads_of(ins.op);
         if (r >= 1) mark_read(reads, epoch, ins.x, lane->x.at);
-        if (r >= 2 && ins.op != pram::OpCode::kGather)
-          mark_read(reads, epoch, ins.y, lane->y.at);
+        if (r >= 2) mark_read(reads, epoch, ins.y, lane->y.at);
         if (r >= 3) mark_read(reads, epoch, ins.c, lane->c.at);
-        if (pram::reads_window(ins.op)) {
-          // The whole declared window counts as read (the executed index is
-          // data-dependent), so overlap with any other read is a conflict.
-          for (std::uint32_t v = ins.y; v < ins.y + ins.c; ++v)
-            mark_read(reads, epoch, v, lane->y.at);
-        }
         if (pram::reads_dyn_window(ins.op)) {
           const auto seg = std::make_pair(pram::dyn_seg_base(ins),
                                           pram::dyn_seg_len(ins));

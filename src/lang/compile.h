@@ -15,8 +15,6 @@
 //                                           reading operand)
 //   var written by two threads in a step    "...written by more than one
 //                                           thread" (second writer's dest)
-//   gather window length 0 / exceeds        "gather window ..." (the window
-//   nvars / overlapping window reads        length / base operand)
 //   gather_dyn segment length 0 / exceeds   "segment ..." (the declaration)
 //   same-step write into a segment          "written inside gather_dyn
 //                                           segment" (the writer's dest)

@@ -63,9 +63,6 @@ std::string emit_pram(const pram::Program& p, const std::string& name,
           os << ", " << ref(ins.c) << ", " << ref(ins.x) << ", "
              << ref(ins.y);
           break;
-        case OpCode::kGather:
-          os << ", " << ref(ins.x) << ", " << ref(ins.y) << ", " << ins.c;
-          break;
         case OpCode::kGatherDyn:
           os << ", " << ref(ins.x) << ", " << ref(ins.y) << ", "
              << ref(ins.c) << ", s" << seg_id(ins);

@@ -20,13 +20,10 @@ GeneratedProgram generate_program(const GenOptions& opt) {
   // P >= 6: the fuzz harness's clobber-oracle work cap is only sound for
   // n >= 6 (see check/fuzz.cpp), and generated programs flow through it.
   const std::size_t P = 6 + rng.below(3);
-  const std::size_t wlen = 2 + rng.below(3);
-  const bool use_gather = rng.coin(0.7);
   const bool use_dyn = rng.coin(0.6);
   const std::size_t G = 3 * P;                           // general pool
-  const std::size_t W = use_gather ? P * wlen : 0;       // per-thread windows
   const std::size_t S = use_dyn ? 8 + rng.below(9) : 0;  // frozen segment
-  const std::size_t nvars = G + W + S;
+  const std::size_t nvars = G + S;
   const std::size_t body_steps = 3 + rng.below(6);
 
   std::ostringstream os;
@@ -36,17 +33,18 @@ GeneratedProgram generate_program(const GenOptions& opt) {
   os << "procs " << P << '\n';
   os << "vars " << nvars << '\n';
   if (use_dyn)
-    os << "segment data = v" << (G + W) << " : " << S << '\n';
+    os << "segment data = v" << G << " : " << S << '\n';
 
   // Prologue: load every variable with a seed-derived constant, P lanes per
-  // step.  Small values dominate so gather indices frequently land inside
-  // their windows; the tail exercises the out-of-range (result 0) path.
+  // step.  Small values dominate so gather_dyn indices frequently land
+  // inside their bound and the segment; the tail exercises the out-of-range
+  // (result 0) path.
   std::size_t prologue_steps = 0;
   for (std::size_t base = 0; base < nvars; base += P) {
     os << "\nstep {\n";
     for (std::size_t t = 0; t < P && base + t < nvars; ++t) {
       const std::uint64_t value =
-          rng.coin(0.7) ? rng.below(wlen + 4) : rng.below(1ULL << 16);
+          rng.coin(0.7) ? rng.below(8) : rng.below(1ULL << 16);
       os << "  " << t << ": const v" << (base + t) << ", " << value << '\n';
     }
     os << "}\n";
@@ -70,9 +68,9 @@ GeneratedProgram generate_program(const GenOptions& opt) {
     for (std::size_t t = 0; t < P; ++t) {
       if (rng.coin(0.15)) continue;  // idle lane
       const std::size_t z = pop(writes);
-      // Op menu; gather/gather_dyn/nondet entries fall through to the ALU
-      // arm when the layout or options exclude them, keeping the draw
-      // count (and thus the rest of the stream) stable per roll.
+      // Op menu; gather_dyn/nondet entries fall through to the ALU arm
+      // when the layout or options exclude them, keeping the draw count
+      // (and thus the rest of the stream) stable per roll.
       const std::uint64_t roll = rng.below(100);
       if (roll < 10) {
         os << "  " << t << ": const v" << z << ", " << rng.below(1000)
@@ -82,11 +80,6 @@ GeneratedProgram generate_program(const GenOptions& opt) {
       } else if (roll < 30) {
         os << "  " << t << ": select v" << z << ", v" << pop(reads) << ", v"
            << pop(reads) << ", v" << pop(reads) << '\n';
-      } else if (roll < 45 && use_gather) {
-        // Thread t's private window chunk: disjoint from every other
-        // thread's chunk and from the general pool.
-        os << "  " << t << ": gather v" << z << ", v" << pop(reads) << ", v"
-           << (G + t * wlen) << ", " << wlen << '\n';
       } else if (roll < 60 && use_dyn) {
         os << "  " << t << ": gather_dyn v" << z << ", v" << pop(reads)
            << ", v" << pop(reads) << ", v" << pop(reads) << ", data\n";

@@ -1,12 +1,11 @@
 // Seed-deterministic grammar-based .pram program generator.
 //
 // Produces random kernels that are EREW-valid BY CONSTRUCTION (per-step
-// read/write pools hand out each variable at most once; gather windows are
-// per-thread chunks of a dedicated region; the gather_dyn segment is
-// written only in the const-loading prologue, never in a step that
-// gathers), so the fuzz harness can treat any compile failure of generated
-// source as a front-end bug, and any divergence between executors running
-// the compiled program as an execution-scheme bug.
+// read/write pools hand out each variable at most once; the gather_dyn
+// segment is written only in the const-loading prologue, never in a step
+// that gathers), so the fuzz harness can treat any compile failure of
+// generated source as a front-end bug, and any divergence between
+// executors running the compiled program as an execution-scheme bug.
 //
 // All data the kernel consumes is loaded by a prologue of `const` steps —
 // generated programs run from all-zero initial memory, exactly like the

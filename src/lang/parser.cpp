@@ -171,9 +171,6 @@ class Parser {
         // Source order z, cond, x, y mirrors "z = cond ? x : y".
         return parse_ref(lane.z) && comma() && parse_ref(lane.c) && comma() &&
                parse_ref(lane.x) && comma() && parse_ref(lane.y);
-      case OpCode::kGather:
-        return parse_ref(lane.z) && comma() && parse_ref(lane.x) && comma() &&
-               parse_ref(lane.y) && comma() && parse_imm(lane);
       case OpCode::kGatherDyn:
         return parse_ref(lane.z) && comma() && parse_ref(lane.x) && comma() &&
                parse_ref(lane.y) && comma() && parse_ref(lane.c) && comma() &&

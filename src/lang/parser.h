@@ -18,8 +18,6 @@
 //             | "select" ref "," ref "," ref "," ref     (z, cond, x, y)
 //             | "rand_below" ref "," INT
 //             | "coin" ref "," INT               (raw 32-bit fixed-point imm)
-//             | "gather" ref "," ref "," ref "," INT     (z, idx, window base,
-//                                                         window len)
 //             | "gather_dyn" ref "," ref "," ref "," ref "," IDENT
 //                                                (z, idx, off, bound, segment)
 //   ref      := IDENT ("[" INT "]")?
@@ -61,7 +59,7 @@ struct RefRec {
 struct LaneRec {
   RefRec z, x, y, c;          ///< Used according to the op's arity.
   std::uint64_t lane = 0;
-  std::uint64_t imm = 0;      ///< const/rand_below/coin imm, gather window len.
+  std::uint64_t imm = 0;      ///< const/rand_below/coin imm.
   std::uint32_t lane_at = 0;
   std::uint32_t imm_at = 0;   ///< The imm, or gather_dyn's segment name.
   pram::OpCode op = pram::OpCode::kNop;

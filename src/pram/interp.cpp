@@ -6,39 +6,15 @@ namespace apex::pram {
 
 namespace {
 
-/// The value a kGather produces against the pre-step image `mem`.  An
-/// out-of-window computed index is defined as 0; the target is addressed
-/// through gather_target so the 64-bit index value can never overflow the
-/// std::size_t subscript (the window bound caps it first).
-Word eval_gather(const Instr& ins, const std::vector<Word>& mem) {
-  const std::uint32_t target = gather_target(ins, mem[ins.x]);
-  return target == kGatherOutOfRange ? 0 : mem[target];
-}
-
-/// Same for kGatherDyn: the index is M[x] + M[y] (wrapping) and the bound
-/// is M[c]; the static segment bound caps the subscript before it can
-/// overflow, exactly as the static-window case.
-Word eval_gather_dyn(const Instr& ins, const std::vector<Word>& mem) {
+/// The y operand eval_deterministic and in_support take, against the
+/// pre-step image `mem`: M[y], or for kGatherDyn its computed segment read
+/// (index M[x] + M[y], wrapping; bound M[c]; 0 when out of range).  The
+/// static segment bound caps the subscript before it can overflow.
+Word y_operand(const Instr& ins, const std::vector<Word>& mem) {
+  if (ins.op != OpCode::kGatherDyn) return mem[ins.y];
   const Word j = mem[ins.x] + mem[ins.y];
   const std::uint32_t target = gather_dyn_target(ins, j, mem[ins.c]);
   return target == kGatherOutOfRange ? 0 : mem[target];
-}
-
-Word eval_with_rng(const Instr& ins, const std::vector<Word>& mem,
-                   apex::Rng& rng) {
-  switch (ins.op) {
-    case OpCode::kRandBelow:
-      return ins.imm == 0 ? 0 : rng.below(ins.imm);
-    case OpCode::kCoin:
-      return rng.uniform() * 4294967296.0 < static_cast<double>(ins.imm) ? 1
-                                                                         : 0;
-    case OpCode::kGather:
-      return eval_gather(ins, mem);
-    case OpCode::kGatherDyn:
-      return eval_gather_dyn(ins, mem);
-    default:
-      return eval_deterministic(ins, mem[ins.x], mem[ins.y], mem[ins.c]);
-  }
 }
 
 }  // namespace
@@ -56,7 +32,9 @@ InterpResult Interpreter::run(std::vector<Word> initial, apex::Rng rng) const {
     for (std::size_t t = 0; t < p.nthreads(); ++t) {
       const Instr& ins = st.instrs[t];
       if (ins.op == OpCode::kNop) continue;
-      out.produced[s][t] = eval_with_rng(ins, out.memory, rng);
+      out.produced[s][t] =
+          eval_instr(ins, out.memory[ins.x], y_operand(ins, out.memory),
+                     out.memory[ins.c], rng);
     }
     // Copy phase: commit all writes simultaneously (EREW guarantees no
     // write-write conflicts).
@@ -92,14 +70,8 @@ std::string check_execution_consistency(
       const Instr& ins = st.instrs[t];
       if (ins.op == OpCode::kNop) continue;
       const Word got = produced[s][t];
-      // kGather / kGatherDyn resolve their computed read against the
-      // replay image; the y slot passed to in_support follows
-      // eval_deterministic's resolved-gather convention.
-      const Word yv = ins.op == OpCode::kGather ? eval_gather(ins, mem)
-                      : ins.op == OpCode::kGatherDyn
-                          ? eval_gather_dyn(ins, mem)
-                          : mem[ins.y];
-      if (!in_support(ins, got, mem[ins.x], yv, mem[ins.c]))
+      // kGatherDyn resolves its computed read against the replay image.
+      if (!in_support(ins, got, mem[ins.x], y_operand(ins, mem), mem[ins.c]))
         return "step " + std::to_string(s) + " thread " + std::to_string(t) +
                ": value " + std::to_string(got) + " not a valid result of " +
                ins.to_string();

@@ -23,7 +23,6 @@ const char* opcode_name(OpCode op) noexcept {
     case OpCode::kSelect: return "select";
     case OpCode::kRandBelow: return "rand_below";
     case OpCode::kCoin: return "coin";
-    case OpCode::kGather: return "gather";
     case OpCode::kGatherDyn: return "gather_dyn";
   }
   return "?";
@@ -41,7 +40,6 @@ int reads_of(OpCode op) noexcept {
     case OpCode::kCoin:
       return 0;
     case OpCode::kCopy:
-    case OpCode::kGather:
       return 1;
     case OpCode::kSelect:
     case OpCode::kGatherDyn:
@@ -52,8 +50,6 @@ int reads_of(OpCode op) noexcept {
 }
 
 bool writes_dest(OpCode op) noexcept { return op != OpCode::kNop; }
-
-bool reads_window(OpCode op) noexcept { return op == OpCode::kGather; }
 
 bool reads_dyn_window(OpCode op) noexcept {
   return op == OpCode::kGatherDyn;
@@ -73,9 +69,6 @@ std::string Instr::to_string() const {
   if (op == OpCode::kSelect)
     s += " <- v" + std::to_string(c) + " ? v" + std::to_string(x) + " : v" +
          std::to_string(y);
-  else if (op == OpCode::kGather)
-    s += " <- v[" + std::to_string(y) + " + M[v" + std::to_string(x) +
-         "]] window=" + std::to_string(c);
   else if (op == OpCode::kGatherDyn)
     s += " <- seg[" + std::to_string(dyn_seg_base(*this)) + " + M[v" +
          std::to_string(x) + "] + M[v" + std::to_string(y) +
@@ -83,8 +76,7 @@ std::string Instr::to_string() const {
          " seg_len=" + std::to_string(dyn_seg_len(*this));
   else if (r >= 1)
     s += " <- v" + std::to_string(x);
-  if (r >= 2 && op != OpCode::kSelect && op != OpCode::kGather &&
-      op != OpCode::kGatherDyn)
+  if (r >= 2 && op != OpCode::kSelect && op != OpCode::kGatherDyn)
     s += ", v" + std::to_string(y);
   if (op == OpCode::kConst || op == OpCode::kRandBelow || op == OpCode::kCoin)
     s += " imm=" + std::to_string(imm);
@@ -106,9 +98,8 @@ Word eval_deterministic(const Instr& ins, Word x, Word y, Word c) noexcept {
     case OpCode::kLess: return x < y ? 1 : 0;
     case OpCode::kEq: return x == y ? 1 : 0;
     case OpCode::kSelect: return c != 0 ? x : y;
-    // kGather / kGatherDyn: the caller resolved the computed window or
-    // segment read into y (0 when out of range).
-    case OpCode::kGather: return y;
+    // kGatherDyn: the caller resolved the computed segment read into y (0
+    // when out of range).
     case OpCode::kGatherDyn: return y;
     default: return 0;  // kNop and nondeterministic ops have no det value
   }

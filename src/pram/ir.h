@@ -13,15 +13,14 @@
 // every read, the step that last wrote the operand (the "writer table") and
 // thus distinguish current values from tardy clobbers by timestamp.
 //
-// Two extensions go beyond the paper's static model: kGather, a read
-// whose target variable is COMPUTED at run time from another variable's
-// value, restricted to a statically declared window; and kGatherDyn,
-// whose window base and bound additionally come from VARIABLES (the shape
-// a CSR row-offset walk needs), restricted to a statically declared
-// segment.  The writer table still covers both because the table records
-// the last writer of EVERY variable before every step — only the choice
-// of which entry to consult moves to run time.  See the per-op comments
-// below for the exact semantics and the EREW discipline each obeys.
+// One extension goes beyond the paper's static model: kGatherDyn, a read
+// whose target variable is COMPUTED at run time from variables' values (an
+// index plus an offset, capped by a bound: the shape a CSR row-offset walk
+// needs), restricted to a statically declared segment.  The writer table
+// still covers it because the table records the last writer of EVERY
+// variable before every step — only the choice of which entry to consult
+// moves to run time.  See the op's comment below for the exact semantics
+// and the EREW discipline it obeys.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +28,7 @@
 #include <string>
 
 #include "sim/word.h"
+#include "util/rng.h"
 
 namespace apex::pram {
 
@@ -51,29 +51,22 @@ enum class OpCode : std::uint8_t {
   kSelect,     ///< z = (c != 0) ? x : y       (three-operand conditional)
   kRandBelow,  ///< z = uniform random in [0, imm)        [nondeterministic]
   kCoin,       ///< z = 1 w.p. imm/2^32, else 0           [nondeterministic]
-  /// Data-dependent read: let j = value of variable x; if j < c (the window
-  /// length, a CONSTANT, not a variable), z = value of variable (y + j),
-  /// else z = 0.  y is the window base (also a constant).  The window
-  /// [y, y+c) must lie inside nvars; an out-of-range COMPUTED index is
-  /// well-defined (result 0), never a fault.  EREW: the whole window counts
-  /// as read by the issuing thread (conservative — at run time exactly one
-  /// cell is read), so two threads may not gather from overlapping windows
-  /// in one step, and no other thread may read a window variable that step.
-  kGather,
   /// Data-DEPENDENT window read: the window base and bound are VARIABLES,
   /// not constants — this is what a real CSR frontier walk needs, where a
   /// processor's element range comes from the row-offset array at run
   /// time.  Let j = M[x] + M[y] (wrapping); if j < M[c] and j < seg_len,
-  /// z = M[seg_base + j], else z = 0.  `x` is the index variable, `y` the
+  /// z = M[seg_base + j], else z = 0: an out-of-range COMPUTED index is
+  /// well-defined, never a fault.  `x` is the index variable, `y` the
   /// base-offset variable, `c` the bound variable (all three are ordinary
   /// exclusive-read operands); imm packs the STATIC segment
   /// (seg_len << 32 | seg_base) that confines every possible computed
-  /// read, so writer tables and audits stay precomputable.  EREW
-  /// discipline: reads inside a declared segment are CREW — deliberately
-  /// relaxed, because segment cells are frozen data loaded before the
-  /// kernel runs and a concurrent pure read under the same stamp
-  /// discipline is harmless — but any same-step WRITE into any declared
-  /// segment is rejected by the checker.
+  /// read, so writer tables and audits stay precomputable.  The segment
+  /// must be non-empty and lie inside nvars.  EREW discipline: reads
+  /// inside a declared segment are CREW — deliberately relaxed, because
+  /// segment cells are frozen data loaded before the kernel runs and a
+  /// concurrent pure read under the same stamp discipline is harmless —
+  /// but any same-step WRITE into any declared segment is rejected by the
+  /// checker.
   kGatherDyn,
 };
 
@@ -84,16 +77,12 @@ const char* opcode_name(OpCode op) noexcept;
 bool is_nondeterministic(OpCode op) noexcept;
 
 /// Number of STATICALLY addressed variable operands read by the op (0, 1,
-/// 2, or 3 for kSelect).  kGather reports 1 (the index variable x); its
-/// run-time window read is extra and handled by the executors directly.
+/// 2, or 3 for kSelect and kGatherDyn).  kGatherDyn's run-time segment
+/// read is extra and handled by the executors directly.
 int reads_of(OpCode op) noexcept;
 
 /// True if the op writes its destination (everything but kNop).
 bool writes_dest(OpCode op) noexcept;
-
-/// True for kGather: the op performs a second, run-time-addressed read
-/// inside the window [y, y+c).
-bool reads_window(OpCode op) noexcept;
 
 /// True for kGatherDyn: the op performs a run-time-addressed read inside
 /// the static segment packed into imm (base/bound resolved from variables).
@@ -104,7 +93,7 @@ struct Instr {
   std::uint32_t z = 0;  ///< Destination variable.
   std::uint32_t x = 0;  ///< First operand (if reads_of >= 1).
   std::uint32_t y = 0;  ///< Second operand (if reads_of >= 2).
-  std::uint32_t c = 0;  ///< Condition operand (kSelect only).
+  std::uint32_t c = 0;  ///< Third operand (kSelect, kGatherDyn's bound).
   Word imm = 0;         ///< Immediate (kConst, kRandBelow, kCoin).
 
   // Convenience constructors.
@@ -152,12 +141,6 @@ struct Instr {
   static Instr rand_below(std::uint32_t z, Word bound) {
     return {OpCode::kRandBelow, z, 0, 0, 0, bound};
   }
-  /// z = (M[idx] < len) ? M[base + M[idx]] : 0.  `base`/`len` declare the
-  /// static window; only `idx` is a variable operand.
-  static Instr gather(std::uint32_t z, std::uint32_t idx, std::uint32_t base,
-                      std::uint32_t len) {
-    return {OpCode::kGather, z, idx, base, len, 0};
-  }
   /// z = (M[idx] + M[off] < min(M[bound], seg_len))
   ///         ? M[seg_base + M[idx] + M[off]] : 0.
   /// `idx`/`off`/`bound` are variable operands; `seg_base`/`seg_len`
@@ -179,18 +162,10 @@ struct Instr {
   std::string to_string() const;
 };
 
-/// Sentinel returned by gather_target for an out-of-window computed index.
+/// Sentinel returned by gather_dyn_target for an out-of-range computed
+/// index.
 inline constexpr std::uint32_t kGatherOutOfRange =
     std::numeric_limits<std::uint32_t>::max();
-
-/// The variable a kGather with index value `j` reads, or kGatherOutOfRange
-/// when j falls outside the declared window (the result is then 0).
-/// Precondition: ins.op == kGather.
-inline constexpr std::uint32_t gather_target(const Instr& ins,
-                                             Word j) noexcept {
-  return j < ins.c ? ins.y + static_cast<std::uint32_t>(j)
-                   : kGatherOutOfRange;
-}
 
 /// The static segment a kGatherDyn confines its computed reads to.
 /// Precondition: ins.op == kGatherDyn.
@@ -213,12 +188,28 @@ inline constexpr std::uint32_t gather_dyn_target(const Instr& ins, Word j,
 }
 
 /// Pure evaluation of a deterministic op on operand values.
-/// Precondition: !is_nondeterministic(op).  For kGather, `x` must be the
-/// index value and `y` the value of the computed target variable (0 when
-/// out of window): the result is then simply that window value.  For
-/// kGatherDyn the caller likewise resolves the computed segment read into
-/// `y` (0 when out of range) and the result is that value.
+/// Precondition: !is_nondeterministic(op).  For kGatherDyn the caller
+/// resolves the computed segment read into `y` (0 when out of range) and
+/// the result is that value.
 Word eval_deterministic(const Instr& ins, Word x, Word y, Word c) noexcept;
+
+/// The value `ins` yields from its operand values (the eval_deterministic
+/// convention), drawing from `rng` for kRandBelow (one below() call unless
+/// imm is 0) and kCoin (one uniform() call).  The interpreter and both
+/// executors evaluate through this one definition.  Inline, so the host's
+/// flattened visit keeps the generator state in registers across it.
+inline Word eval_instr(const Instr& ins, Word x, Word y, Word c,
+                       apex::Rng& rng) noexcept {
+  switch (ins.op) {
+    case OpCode::kRandBelow:
+      return ins.imm == 0 ? 0 : rng.below(ins.imm);
+    case OpCode::kCoin:
+      return rng.uniform() * 4294967296.0 < static_cast<double>(ins.imm) ? 1
+                                                                         : 0;
+    default:
+      return eval_deterministic(ins, x, y, c);
+  }
+}
 
 /// True iff `v` is a possible result of the (possibly nondeterministic)
 /// instruction — the support used by Theorem 1's Correctness property.

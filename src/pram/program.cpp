@@ -48,22 +48,6 @@ void Program::validate_erew(std::size_t nthreads, std::size_t nvars,
       if (r >= 1) bump_or_throw(reads, epoch, ins.x, nvars, s, "read");
       if (r >= 2) bump_or_throw(reads, epoch, ins.y, nvars, s, "read");
       if (r >= 3) bump_or_throw(reads, epoch, ins.c, nvars, s, "read");
-      if (reads_window(ins.op)) {
-        // The whole declared window counts as read: at run time exactly one
-        // cell is, but which one is data-dependent, so exclusivity must be
-        // guaranteed for every possible index.
-        if (ins.c == 0)
-          throw std::invalid_argument("PRAM step " + std::to_string(s) +
-                                      ": gather window length is 0");
-        if (static_cast<std::uint64_t>(ins.y) + ins.c > nvars)
-          throw std::invalid_argument(
-              "PRAM step " + std::to_string(s) + ": gather window [v" +
-              std::to_string(ins.y) + ", v" +
-              std::to_string(static_cast<std::uint64_t>(ins.y) + ins.c) +
-              ") exceeds nvars=" + std::to_string(nvars));
-        for (std::uint32_t v = ins.y; v < ins.y + ins.c; ++v)
-          bump_or_throw(reads, epoch, v, nvars, s, "read");
-      }
       if (reads_dyn_window(ins.op)) {
         // Segment reads are CREW (pure loads of frozen data; see ir.h), so
         // they don't bump the read marks -- but the segment itself must be

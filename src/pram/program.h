@@ -63,8 +63,8 @@ class Program {
   /// (kInitial if none).  Backed by a sparse per-variable index of write
   /// steps (binary search over that variable's writes), so graph-scale
   /// programs don't pay the O(nsteps * nvars) dense table the old layout
-  /// materialized.  Executors resolving computed-index (kGather /
-  /// kGatherDyn) targets call this on their hot path.
+  /// materialized.  Executors resolving computed-index (kGatherDyn)
+  /// targets call this on their hot path.
   std::uint32_t last_writer_before(std::size_t s, std::uint32_t var) const;
 
   /// True if any instruction is a kGatherDyn (data-dependent window).

@@ -522,7 +522,7 @@ Program make_bfs_frontier(std::size_t n, std::size_t rounds) {
 
   // Phase 2: unpack delta -> adj (+1-biased columns).  The gather window's
   // base/bound are the row-offset DATA loaded above — the addressing a
-  // static kGather window cannot express.
+  // statically placed window cannot express.
   for (std::size_t p = 0; p < P; ++p)
     for (std::size_t v = cuts[p]; v < cuts[p + 1]; ++v) {
       const std::size_t deg = csr.degree(v);

@@ -17,13 +17,13 @@
 //   * the IRREGULAR kernels (BFS frontier expansion, bitonic merge, CSR
 //     sparse mat-vec, the work-stealing DAG): memory traffic and/or control
 //     flow depend on run-time values — predicated updates via kSelect,
-//     value-driven compare-exchange, computed-index gathers (kGather and
-//     the dynamic-window kGatherDyn, whose window base/bound are read from
-//     CSR row-offset arrays in program memory), and random dataflow
-//     choices.  These are the data-dependent programs the execution scheme
-//     is actually for.  The graph-backed kernels (bfs, spmv) build their
-//     edge data with src/graph/csr.h and scale to n = 1e5 on
-//     min(n, 4096) logical processors.
+//     value-driven compare-exchange, computed-index gathers (kGatherDyn,
+//     whose window base/bound are read from CSR row-offset arrays in
+//     program memory), and random dataflow choices.  These are the
+//     data-dependent programs the execution scheme is actually for.  The
+//     graph-backed kernels (bfs, spmv) build their edge data with
+//     src/graph/csr.h and scale to n = 1e5 on min(n, 4096) logical
+//     processors.
 //
 // All programs obey the EREW discipline (validated at build()).
 //

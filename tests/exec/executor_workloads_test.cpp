@@ -99,20 +99,22 @@ TEST(ExecutorWorkloads, RingColoringFlagsConsistentUnderNondetScheme) {
 }
 
 TEST(ExecutorWorkloads, GatherResolvesRuntimeTargetsUnderHostileSchedules) {
-  // idx computed at run time selects the window cell; the executor must
+  // idx computed at run time selects the segment cell; the executor must
   // stamp-check the computed target like any static operand, under both
   // schemes and hostile schedules.  Out-of-range branch included (idx 7).
   pram::ProgramBuilder b(4, 16);
   b.step()
       .thread(0, pram::Instr::constant(0, 2))   // idx a
       .thread(1, pram::Instr::constant(1, 7))   // idx b (out of range)
-      .thread(2, pram::Instr::constant(8, 30))  // window cells, written at
+      .thread(2, pram::Instr::constant(8, 30))  // segment cells, written at
       .thread(3, pram::Instr::constant(9, 31));  // run time
   b.step()
       .thread(0, pram::Instr::constant(10, 32))
-      .thread(1, pram::Instr::constant(11, 33));
-  b.step().thread(0, pram::Instr::gather(14, 0, 8, 4));   // -> v10 = 32
-  b.step().thread(1, pram::Instr::gather(15, 1, 8, 4));   // idx 7 -> 0
+      .thread(1, pram::Instr::constant(11, 33))
+      .thread(2, pram::Instr::constant(4, 4))   // bounds; offsets v2, v3
+      .thread(3, pram::Instr::constant(5, 4));  // stay 0
+  b.step().thread(0, pram::Instr::gather_dyn(14, 0, 2, 4, 8, 4));  // v10 = 32
+  b.step().thread(1, pram::Instr::gather_dyn(15, 1, 3, 5, 8, 4));  // 7 -> 0
   pram::Program p = b.build();
   const auto ref = pram::Interpreter(p).run_deterministic({});
   ASSERT_EQ(ref.memory[14], 32u);

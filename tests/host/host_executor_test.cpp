@@ -212,15 +212,18 @@ TEST(HostExecutor, ValuesJustBelowPackWidthSurvive) {
 TEST(HostExecutor, GatherResolvesComputedTargetsOnRealThreads) {
   // Computed-index addressing through the host stamp discipline, including
   // the out-of-range branch (defined result 0).
-  pram::ProgramBuilder b(2, 10);
+  pram::ProgramBuilder b(2, 12);
   b.step()
       .thread(0, pram::Instr::constant(0, 2))    // idx in range
       .thread(1, pram::Instr::constant(1, 99));  // idx out of range
   b.step()
-      .thread(0, pram::Instr::constant(4, 20))   // window [4, 8)
+      .thread(0, pram::Instr::constant(4, 20))   // segment [4, 8)
       .thread(1, pram::Instr::constant(6, 22));
-  b.step().thread(0, pram::Instr::gather(8, 0, 4, 4));  // -> v6 = 22
-  b.step().thread(1, pram::Instr::gather(9, 1, 4, 4));  // -> 0
+  b.step()
+      .thread(0, pram::Instr::constant(10, 4))   // bounds; offsets v2, v3
+      .thread(1, pram::Instr::constant(11, 4));  // stay 0
+  b.step().thread(0, pram::Instr::gather_dyn(8, 0, 2, 10, 4, 4));  // -> 22
+  b.step().thread(1, pram::Instr::gather_dyn(9, 1, 3, 11, 4, 4));  // -> 0
   pram::Program p = b.build();
   HostExecutor ex(p, make_cfg(33));
   const auto res = ex.run();

@@ -41,15 +41,13 @@ TEST(Compile, NamedVarsAllocateAfterRawPool) {
   EXPECT_EQ(r.program->step(0).instrs[0], pram::Instr::add(3, 4, 5));
 }
 
-TEST(Compile, GatherWindowAndSegment) {
+TEST(Compile, GatherDynSegment) {
   const auto r = compile_text(
       "pram p\nprocs 2\nvars 8\nsegment s = v4 : 4\n"
       "step {\n"
-      "  0: gather v0, v1, v2, 2\n"
       "  1: gather_dyn v3, v5, v6, v7, s\n"
       "}\n");
   ASSERT_TRUE(r.ok()) << first_message(r);
-  EXPECT_EQ(r.program->step(0).instrs[0], pram::Instr::gather(0, 1, 2, 2));
   EXPECT_EQ(r.program->step(0).instrs[1],
             pram::Instr::gather_dyn(3, 5, 6, 7, 4, 4));
 }
@@ -83,6 +81,19 @@ TEST(Compile, CompiledProgramRunsInInterpreter) {
                        .run_deterministic(std::vector<pram::Word>(4, 0));
   EXPECT_EQ(res.memory[2], 42u);
   EXPECT_EQ(res.memory[3], 2u);
+}
+
+TEST(Compile, TutorialComputesWhatItsCommentsSay) {
+  SourceFile src;
+  const auto r = compile_file(
+      std::string(APEX_SOURCE_DIR) + "/kernels/tutorial.pram", src);
+  ASSERT_TRUE(r.ok()) << first_message(r);
+  const auto res = pram::Interpreter(*r.program).run_deterministic({});
+  // x[0..3] are v0..v3.
+  EXPECT_EQ(res.memory[0], 12u);   // table lookup: table[2]
+  EXPECT_EQ(res.memory[1], 103u);  // row walk: row[1 + 2]
+  EXPECT_EQ(res.memory[2], 115u);  // x[0] + x[1]
+  EXPECT_EQ(res.memory[3], 11u);   // idx ? table[1] : row[2]
 }
 
 TEST(Compile, DeclarationsMayFollowTheirUses) {
@@ -137,27 +148,6 @@ TEST(Compile, ErewReadReadConflict) {
   EXPECT_NE(first_message(r).find(
                 "EREW violation: variable v0 read by more than one thread"),
             std::string::npos);
-}
-
-TEST(Compile, GatherWindowOverlapIsAReadConflict) {
-  // Both lanes' windows cover v4: the window marks every cell read.
-  const auto r = compile_text(
-      "pram p\nprocs 2\nvars 8\n"
-      "step {\n"
-      "  0: gather v0, v1, v4, 2\n"
-      "  1: gather v2, v3, v5, 2\n"
-      "}\n");
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(first_message(r).find("read by more than one thread"),
-            std::string::npos);
-}
-
-TEST(Compile, GatherWindowBeyondNvars) {
-  const auto r = compile_text("pram p\nprocs 1\nvars 4\n"
-                              "step {\n  0: gather v0, v1, v2, 4\n}\n");
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(first_message(r).find("gather window"), std::string::npos);
-  EXPECT_NE(first_message(r).find("exceeds vars=4"), std::string::npos);
 }
 
 TEST(Compile, SameStepSegmentWrite) {

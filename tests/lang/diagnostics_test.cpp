@@ -37,7 +37,6 @@ void check_case(const std::string& name) {
 
 TEST(DiagnosticsGolden, ErewWriteWrite) { check_case("erew_write"); }
 TEST(DiagnosticsGolden, ErewReadRead) { check_case("erew_read"); }
-TEST(DiagnosticsGolden, GatherWindowOverlap) { check_case("window_overlap"); }
 TEST(DiagnosticsGolden, SameStepSegmentWrite) { check_case("segment_write"); }
 TEST(DiagnosticsGolden, UndefinedVariable) { check_case("undefined_var"); }
 TEST(DiagnosticsGolden, VariableIdOverflow) { check_case("id_overflow"); }

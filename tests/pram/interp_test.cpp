@@ -166,78 +166,86 @@ TEST(ConsistencyOracle, RejectsFinalMemoryMismatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Data-dependent addressing (kGather) edge cases
+// Data-dependent addressing (kGatherDyn) edge cases
 // ---------------------------------------------------------------------------
 
 TEST(Gather, ReadsTheComputedCell) {
-  // table[0..4) at vars 1..5, index in var 0, result in var 5.
-  ProgramBuilder b(1, 6);
-  b.step().thread(0, Instr::gather(5, 0, 1, 4));
+  // Segment [1, 5) holds 10..13; index v0 plus offset v6 picks the cell,
+  // bound v7 caps it, the result lands in v5.
+  ProgramBuilder b(1, 8);
+  b.step().thread(0, Instr::gather_dyn(5, 0, 6, 7, 1, 4));
   Program p = b.build();
-  const auto r = Interpreter(p).run_deterministic({2, 10, 11, 12, 13, 0});
-  EXPECT_EQ(r.memory[5], 12u);  // table[2]
+  const auto r =
+      Interpreter(p).run_deterministic({1, 10, 11, 12, 13, 0, 1, 4});
+  EXPECT_EQ(r.memory[5], 12u);  // segment[1 + 1]
 }
 
 TEST(Gather, OutOfRangeComputedIndexYieldsZeroNotAFault) {
-  // The index variable holds values >= the window length, including values
-  // that would overflow a size_t subscript if added to the base naively.
-  ProgramBuilder b(1, 6);
-  b.step().thread(0, Instr::gather(5, 0, 1, 4));
+  // An index at or past the bound, or past the segment length, reads 0 --
+  // including sums that would overflow a size_t subscript if added to the
+  // segment base naively, and index + offset sums that wrap.
+  ProgramBuilder b(1, 8);
+  b.step().thread(0, Instr::gather_dyn(5, 0, 6, 7, 1, 4));
   Program p = b.build();
-  for (const Word idx :
-       {Word{4}, Word{5}, Word{1} << 32, ~Word{0}, ~Word{0} - 3}) {
-    const auto r = Interpreter(p).run_deterministic({idx, 10, 11, 12, 13, 7});
-    EXPECT_EQ(r.memory[5], 0u) << "index " << idx;
+  struct Case {
+    Word idx, off, bound;
+  };
+  for (const Case c : {Case{3, 0, 3}, Case{1, 2, 2}, Case{4, 0, 100},
+                       Case{Word{1} << 32, 0, ~Word{0}},
+                       Case{~Word{0}, 0, ~Word{0}},
+                       Case{~Word{0}, ~Word{0}, ~Word{0}},
+                       Case{~Word{0}, 5, ~Word{0}}}) {
+    const auto r = Interpreter(p).run_deterministic(
+        {c.idx, 10, 11, 12, 13, 7, c.off, c.bound});
+    EXPECT_EQ(r.memory[5], 0u)
+        << "index " << c.idx << " offset " << c.off << " bound " << c.bound;
   }
-}
-
-TEST(Gather, ReadsThePreStepImageWhenWindowIsWrittenSameStep) {
-  // Thread 1 overwrites table[1] in the same step thread 0 gathers from it:
-  // split execution orders the read first, so the OLD value is gathered.
-  ProgramBuilder b(2, 6);
-  b.step()
-      .thread(0, Instr::gather(5, 0, 1, 4))
-      .thread(1, Instr::constant(2, 99));
-  Program p = b.build();
-  const auto r = Interpreter(p).run_deterministic({1, 10, 11, 12, 13, 0});
+  // The sum wraps: 2^64 - 1 plus 2 is index 1, inside both limits.
+  const auto r = Interpreter(p).run_deterministic(
+      {~Word{0}, 10, 11, 12, 13, 7, 2, 4});
   EXPECT_EQ(r.memory[5], 11u);
-  EXPECT_EQ(r.memory[2], 99u);
 }
 
 TEST(Gather, IndexComputedAtRuntimeFeedsTheGather) {
-  // idx = a + b computed in step 0; gather uses it in step 1.
-  ProgramBuilder b(1, 8);
+  // idx = a + b computed in step 0; the gather uses it in step 1.
+  ProgramBuilder b(1, 10);
   b.step().thread(0, Instr::add(2, 0, 1));
-  b.step().thread(0, Instr::gather(7, 2, 3, 4));
+  b.step().thread(0, Instr::gather_dyn(7, 2, 8, 9, 3, 4));
   Program p = b.build();
   const auto r =
-      Interpreter(p).run_deterministic({1, 2, 0, 20, 21, 22, 23, 0});
-  EXPECT_EQ(r.memory[7], 23u);  // window[3]
+      Interpreter(p).run_deterministic({1, 2, 0, 20, 21, 22, 23, 0, 0, 4});
+  EXPECT_EQ(r.memory[7], 23u);  // segment[3]
 }
 
-TEST(Gather, ErewValidationMarksTheWholeWindowRead) {
-  // Another thread reading any window cell in the same step is a violation.
+TEST(Gather, SegmentReadsAreSharedButTheSegmentIsFrozenForTheStep) {
+  // Two threads may gather from one segment in a step (CREW)...
   {
-    ProgramBuilder b(2, 6);
+    ProgramBuilder b(2, 12);
     b.step()
-        .thread(0, Instr::gather(5, 0, 1, 4))
-        .thread(1, Instr::copy(4, 2));  // reads v2, inside [1, 5)
+        .thread(0, Instr::gather_dyn(10, 0, 1, 2, 6, 4))
+        .thread(1, Instr::gather_dyn(11, 3, 4, 5, 6, 4));
+    EXPECT_NO_THROW(b.build());
+  }
+  // ...but a same-step write into it throws, whoever writes,
+  {
+    ProgramBuilder b(2, 12);
+    b.step()
+        .thread(0, Instr::gather_dyn(10, 0, 1, 2, 6, 4))
+        .thread(1, Instr::constant(9, 99));  // v9 is inside [6, 10)
     EXPECT_THROW(b.build(), std::invalid_argument);
   }
-  // Two gathers with overlapping windows likewise.
   {
-    ProgramBuilder b(2, 8);
-    b.step()
-        .thread(0, Instr::gather(6, 0, 1, 4))
-        .thread(1, Instr::gather(7, 5, 2, 3));
+    ProgramBuilder b(1, 12);
+    b.step().thread(0, Instr::gather_dyn(7, 0, 1, 2, 6, 4));
     EXPECT_THROW(b.build(), std::invalid_argument);
   }
-  // Disjoint windows are fine.
+  // while a write just outside it, or into it in another step, is fine.
   {
-    ProgramBuilder b(2, 9);
+    ProgramBuilder b(2, 12);
     b.step()
-        .thread(0, Instr::gather(7, 0, 1, 3))
-        .thread(1, Instr::gather(8, 5, 4, 1));
+        .thread(0, Instr::gather_dyn(10, 0, 1, 2, 6, 4))
+        .thread(1, Instr::constant(5, 99));
+    b.step().thread(1, Instr::constant(9, 99));
     EXPECT_NO_THROW(b.build());
   }
 }
@@ -245,43 +253,46 @@ TEST(Gather, ErewValidationMarksTheWholeWindowRead) {
 TEST(Gather, WindowMustFitInsideVariableSpace) {
   {
     ProgramBuilder b(1, 6);
-    b.step().thread(0, Instr::gather(5, 0, 3, 4));  // [3, 7) > nvars=6
+    b.step().thread(0, Instr::gather_dyn(0, 1, 2, 5, 3, 4));  // [3, 7) > 6
     EXPECT_THROW(b.build(), std::invalid_argument);
   }
   {
     ProgramBuilder b(1, 6);
-    b.step().thread(0, Instr::gather(5, 0, 1, 0));  // empty window
+    b.step().thread(0, Instr::gather_dyn(0, 1, 2, 5, 3, 0));  // empty
     EXPECT_THROW(b.build(), std::invalid_argument);
+  }
+  {
+    ProgramBuilder b(1, 6);
+    b.step().thread(0, Instr::gather_dyn(0, 1, 2, 5, 3, 3));  // [3, 6) fits
+    EXPECT_NO_THROW(b.build());
   }
 }
 
 TEST(Gather, ConsistencyOracleResolvesGathersAgainstTheReplayImage) {
-  ProgramBuilder b(1, 6);
-  b.step().thread(0, Instr::gather(5, 0, 1, 4));
+  ProgramBuilder b(1, 8);
+  b.step().thread(0, Instr::gather_dyn(5, 0, 6, 7, 1, 4));
   Program p = b.build();
-  auto r = Interpreter(p).run_deterministic({2, 10, 11, 12, 13, 0});
-  EXPECT_EQ(check_execution_consistency(p, {2, 10, 11, 12, 13, 0},
-                                        r.produced, r.memory),
-            "");
+  const std::vector<Word> in = {2, 10, 11, 12, 13, 0, 0, 4};
+  auto r = Interpreter(p).run_deterministic(in);
+  EXPECT_EQ(check_execution_consistency(p, in, r.produced, r.memory), "");
   // A forged gather result must be rejected.
   r.produced[0][0] = 99;
   r.memory[5] = 99;
-  EXPECT_NE(check_execution_consistency(p, {2, 10, 11, 12, 13, 0},
-                                        r.produced, r.memory),
-            "");
+  EXPECT_NE(check_execution_consistency(p, in, r.produced, r.memory), "");
 }
 
 TEST(Gather, WriterTableResolvesRuntimeTargets) {
   // The gather target was written two steps earlier; last_writer_before
-  // must answer for every window cell so executors can stamp-check.
-  ProgramBuilder b(2, 8);
+  // must answer for every segment cell so executors can stamp-check.
+  ProgramBuilder b(2, 10);
   b.step().thread(0, Instr::constant(3, 42)).thread(1, Instr::constant(0, 2));
-  b.step().thread(0, Instr::gather(7, 0, 1, 4));
+  b.step().thread(0, Instr::constant(9, 4));
+  b.step().thread(0, Instr::gather_dyn(7, 0, 8, 9, 1, 4));
   Program p = b.build();
-  EXPECT_EQ(p.last_writer_before(1, 3), 0u);   // window cell written step 0
-  EXPECT_EQ(p.last_writer_before(1, 2), kInitial);
-  const auto r = Interpreter(p).run_deterministic({0, 0, 7, 0, 0, 0, 0, 0});
-  EXPECT_EQ(r.memory[7], 42u);  // idx=2 -> window[2] = v3 = 42
+  EXPECT_EQ(p.last_writer_before(2, 3), 0u);  // segment cell written step 0
+  EXPECT_EQ(p.last_writer_before(2, 2), kInitial);
+  const auto r = Interpreter(p).run_deterministic({});
+  EXPECT_EQ(r.memory[7], 42u);  // idx=2 -> segment[2] = v3 = 42
 }
 
 }  // namespace
