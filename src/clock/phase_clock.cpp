@@ -9,7 +9,13 @@ namespace apex::clockx {
 
 PhaseClock::PhaseClock(sim::Memory& mem, ClockConfig cfg) : mem_(&mem) {
   if (cfg.nprocs == 0) throw std::invalid_argument("PhaseClock: nprocs == 0");
-  if (cfg.alpha <= 0.0) throw std::invalid_argument("PhaseClock: alpha <= 0");
+  // tau = alpha * n is cast to an integer: NaN, infinities and products
+  // past 2^63 would make that cast undefined.
+  if (!(cfg.alpha > 0.0) ||
+      !(cfg.alpha * static_cast<double>(cfg.nprocs) < 0x1p63))
+    throw std::invalid_argument(
+        "PhaseClock: alpha must be finite and > 0 (and alpha * n below "
+        "2^63)");
   m_ = cfg.nprocs;
   s_ = static_cast<std::size_t>(3 * lg(cfg.nprocs));
   tau_ = std::max<std::uint64_t>(

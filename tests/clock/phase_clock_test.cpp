@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -179,6 +180,23 @@ TEST(PhaseClock, ValidatesConfig) {
   bad2.nprocs = 4;
   bad2.alpha = -1.0;
   EXPECT_THROW(PhaseClock(mem, bad2), std::invalid_argument);
+}
+
+TEST(PhaseClock, AlphaValidated) {
+  // tau = alpha * n is cast to an integer, so every alpha that would make
+  // the cast undefined (or tau meaningless) is rejected up front.
+  sim::Memory mem(0);
+  ClockConfig cc;
+  cc.nprocs = 4;
+  for (const double alpha : {std::nan(""), HUGE_VAL, -HUGE_VAL, 0.0, -1.0,
+                             1e30}) {
+    cc.alpha = alpha;
+    EXPECT_THROW(PhaseClock(mem, cc), std::invalid_argument) << alpha;
+  }
+  cc.alpha = 0x1p61;  // alpha * 4 = 2^63: the first product out of range
+  EXPECT_THROW(PhaseClock(mem, cc), std::invalid_argument);
+  cc.alpha = 0x1p60;
+  EXPECT_NO_THROW(PhaseClock(mem, cc));
 }
 
 // --- The tick listener --------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <tuple>
 
 #include "pram/interp.h"
@@ -185,6 +186,15 @@ TEST(Executor, BudgetExhaustionReportsIncomplete) {
   EXPECT_FALSE(res.completed);
   const auto chk = run_checked(p, Scheme::kNondeterministic, make_cfg(71), 500);
   EXPECT_NE(chk.consistency_error, "");
+}
+
+TEST(Executor, RejectsANonFiniteClockAlpha) {
+  // The phase clock casts alpha * n to an integer tick threshold.
+  pram::Program p = pram::make_coin_matrix(8, 2, 0.5);
+  ExecConfig cfg = make_cfg(91);
+  cfg.clock_alpha = std::nan("");
+  EXPECT_THROW(Executor(p, Scheme::kNondeterministic, cfg),
+               std::invalid_argument);
 }
 
 TEST(Executor, WorkScalesWithSteps) {
