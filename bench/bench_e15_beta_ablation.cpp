@@ -71,7 +71,10 @@ int main(int argc, char** argv) {
                 "at alpha = 24 is clean on both");
 
   const std::size_t n = 32;
-  const int phases = opt.full ? 12 : 6;
+  // beta = 2's failing phases come late in a run (seed 16000 shows none in
+  // its first 6 phases, 2 in its first 12), so 12 phases per seed let one
+  // seed show the claim.
+  const int phases = opt.full ? 24 : 12;
 
   Table t({"beta", "B", "phases", "unfilled%", "stab_fail%", "work/phase"});
   bool all_ok = true;
