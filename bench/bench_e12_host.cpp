@@ -55,8 +55,8 @@ batch::TrialResult host_trial(const pram::WorkloadSpec& spec, std::size_t n,
     r.count("repaired", static_cast<double>(run.repaired_commits));
   // Every attempt but a clean last one was damaged.
   r.count("damaged", run.attempts - (res.lost_commits == 0 ? 1 : 0));
-  std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-  if (!res.completed || res.lost_commits != 0 || !spec.check(n, mem).empty()) {
+  if (!res.completed || res.lost_commits != 0 ||
+      !spec.check(n, res.memory).empty()) {
     r.ok = false;
     return r;
   }

@@ -145,7 +145,6 @@ class StageAnalysis final : public AgreementObserver {
   Report finalize() const;
 
   std::uint64_t stage_len() const noexcept { return stage_len_; }
-  std::size_t record_count() const noexcept { return records_.size(); }
 
  private:
   std::uint64_t stage_len_;

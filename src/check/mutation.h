@@ -57,8 +57,6 @@ inline bool mutation_enabled(Mutation m) noexcept {
   return detail::g_active == m;
 }
 
-inline Mutation active_mutation() noexcept { return detail::g_active; }
-
 /// RAII guard: activates `m` on this thread for its lifetime.
 class ScopedMutation {
  public:

@@ -24,13 +24,6 @@ std::string OracleSet::first_failure() const {
   return {};
 }
 
-std::vector<std::string> OracleSet::failing_oracles() const {
-  std::vector<std::string> out;
-  for (auto* o : list_)
-    if (o->failed()) out.push_back(o->name());
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // WorkAccountingOracle
 // ---------------------------------------------------------------------------

@@ -118,9 +118,6 @@ class OracleSet final : public sim::StepObserver,
   /// (empty when clean).
   std::string first_failure() const;
 
-  /// Every failing oracle's name, in registration order.
-  std::vector<std::string> failing_oracles() const;
-
   const std::vector<Oracle*>& oracles() const noexcept { return list_; }
 
  private:

@@ -59,7 +59,6 @@ class CsrBuilder {
   Csr build() const;
 
   std::size_t n_rows() const { return n_rows_; }
-  std::size_t n_cols() const { return n_cols_; }
 
  private:
   void push(std::size_t row, std::size_t col, std::uint64_t val);

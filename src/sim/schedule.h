@@ -230,7 +230,6 @@ class ScriptedSchedule final : public Schedule {
     return fill_round_robin(grants, t0, nprocs_);
   }
 
-  std::size_t script_size() const noexcept { return script_.size(); }
   ScriptExhaust exhaust_policy() const noexcept { return exhaust_; }
 
  private:

@@ -163,12 +163,11 @@ TEST_P(Differential, HostExecutorAgreesUnderRealPreemption) {
                              << " work=" << res.total_work;
   ASSERT_EQ(res.lost_commits, 0u)
       << wl.name << ": repeated preemption damage across seeds";
-  std::vector<Word> mem(res.memory.begin(), res.memory.end());
-  EXPECT_EQ(wl.check(kN, mem), "") << wl.name;
+  EXPECT_EQ(wl.check(kN, res.memory), "") << wl.name;
   if (wl.deterministic) {
     const auto ref = pram::Interpreter(p).run_deterministic({});
     for (std::size_t v = 0; v < ref.memory.size(); ++v)
-      ASSERT_EQ(mem[v], ref.memory[v]) << wl.name << " v" << v;
+      ASSERT_EQ(res.memory[v], ref.memory[v]) << wl.name << " v" << v;
   }
 }
 
@@ -214,11 +213,10 @@ TEST(DifferentialLargeN, VirtualizedHostBitForBitAtP64) {
     const auto res = host::run_until_clean(p, cfg).result;
     ASSERT_TRUE(res.completed) << name << " error=" << res.error;
     ASSERT_EQ(res.lost_commits, 0u) << name;
-    std::vector<Word> mem(res.memory.begin(), res.memory.end());
-    EXPECT_EQ(wl->check(n, mem), "") << name;
+    EXPECT_EQ(wl->check(n, res.memory), "") << name;
     const auto ref = pram::Interpreter(p).run_deterministic({});
     for (std::size_t v = 0; v < ref.memory.size(); ++v)
-      ASSERT_EQ(mem[v], ref.memory[v]) << name << " v" << v;
+      ASSERT_EQ(res.memory[v], ref.memory[v]) << name << " v" << v;
   }
 }
 
@@ -235,8 +233,7 @@ TEST(DifferentialLargeN, DagInvariantsHoldAtP64) {
   const auto res = host::run_until_clean(p, cfg).result;
   ASSERT_TRUE(res.completed) << res.error;
   ASSERT_EQ(res.lost_commits, 0u);
-  std::vector<Word> mem(res.memory.begin(), res.memory.end());
-  EXPECT_EQ(wl->check(n, mem), "");
+  EXPECT_EQ(wl->check(n, res.memory), "");
 }
 
 TEST(DifferentialLargeN, ScaleInstancesAreRegistryLegal) {

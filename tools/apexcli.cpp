@@ -253,7 +253,7 @@ std::optional<std::vector<pram::Word>> run_engine(
       std::printf("  unrepairable preemption damage on every attempt\n");
       return std::nullopt;
     }
-    return std::vector<pram::Word>(res.memory.begin(), res.memory.end());
+    return res.memory;
   }
   exec::ExecConfig cfg;
   cfg.seed = a.u64("seed", 1);
@@ -732,8 +732,7 @@ HostPerfRow run_host_perf(const HostPerfPoint& pt, std::uint64_t seed,
       r.ok = false;
       continue;
     }
-    std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-    r.ok &= spec->check(pt.n, mem).empty();
+    r.ok &= spec->check(pt.n, res.memory).empty();
     if (!timed || res.wall_seconds < r.seconds) {
       r.seconds = res.wall_seconds;
       r.work = res.total_work;
