@@ -106,6 +106,84 @@ TEST(Lexer, StrayCharacterIsDiagnosed) {
   EXPECT_EQ(diags[0].loc.col, 3u);
 }
 
+// ---- edges of the buffer ---------------------------------------------------
+
+TEST(Lexer, EmptyAndBlankSourcesEndAtTheirSize) {
+  for (const std::string text : {"", " \t\r\n \n"}) {
+    const Lexed l = lex_ok(text);
+    ASSERT_EQ(l.toks.size(), 1u);
+    EXPECT_EQ(l.toks[0].kind, TokKind::kEnd);
+    EXPECT_EQ(l.toks[0].offset, text.size());
+    EXPECT_EQ(l.toks[0].length, 0u);
+  }
+}
+
+TEST(Lexer, NulByteInsideTheTextIsAStrayCharacter) {
+  const std::string text("pram p\n  ab\0cd 1", 16);
+  SourceFile src{"<test>", text};
+  std::vector<Diagnostic> diags;
+  Lexer lex(src, diags);
+  const auto toks = pull_all(lex);
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].message, std::string("unexpected character '\0'", 24));
+  EXPECT_EQ(diags[0].loc.line, 2u);
+  EXPECT_EQ(diags[0].loc.col, 5u);
+  ASSERT_EQ(toks.size(), 4u);  // pram p ab, then kEnd at the NUL
+  EXPECT_EQ(lex.text(toks[2]), "ab");
+  EXPECT_EQ(toks[3].kind, TokKind::kEnd);
+  EXPECT_EQ(toks[3].offset, 11u);
+  EXPECT_TRUE(lex.failed());
+  EXPECT_EQ(lex.next().offset, 11u);  // and stays there
+}
+
+TEST(Lexer, CommentRunsToEndOfFileWithoutANewline) {
+  const Lexed l = lex_ok("pram # no newline");
+  ASSERT_EQ(l.toks.size(), 2u);
+  EXPECT_EQ(l.text(0), "pram");
+  EXPECT_EQ(l.toks[1].offset, l.src.text.size());
+  const std::string nul_inside("x # a\0b", 7);
+  const Lexed m = lex_ok(nul_inside);
+  ASSERT_EQ(m.toks.size(), 2u);
+  EXPECT_EQ(m.toks[1].kind, TokKind::kEnd);
+  EXPECT_EQ(m.toks[1].offset, 7u);
+}
+
+TEST(Lexer, TokensEndingExactlyAtEndOfFile) {
+  const Lexed id = lex_ok("pram abc_9");
+  ASSERT_EQ(id.toks.size(), 3u);
+  EXPECT_EQ(id.text(1), "abc_9");
+  EXPECT_EQ(id.toks[2].offset, 10u);
+  const Lexed num = lex_ok("1 42");
+  ASSERT_EQ(num.toks.size(), 3u);
+  EXPECT_EQ(num.toks[1].value, 42u);
+  EXPECT_EQ(num.toks[1].length, 2u);
+  EXPECT_EQ(num.toks[2].offset, 4u);
+  // More than 19 digits can still fit: leading zeros.
+  const Lexed zeros = lex_ok("0000000000000000000000018446744073709551615");
+  ASSERT_EQ(zeros.toks.size(), 2u);
+  EXPECT_EQ(zeros.toks[0].value, 18446744073709551615ULL);
+}
+
+TEST(Lexer, StartsAtAnOffset) {
+  SourceFile src{"<test>", "pram hello [7]"};
+  std::vector<Diagnostic> diags;
+  Lexer at_name(src, diags, 5);
+  const Token name = at_name.next();
+  EXPECT_EQ(at_name.text(name), "hello");
+  EXPECT_EQ(at_name.next().kind, TokKind::kLBracket);
+  EXPECT_EQ(at_name.next().value, 7u);
+  Lexer inside(src, diags, 7);  // inside "hello"
+  const Token tail = inside.next();
+  EXPECT_EQ(tail.kind, TokKind::kIdent);
+  EXPECT_EQ(tail.offset, 7u);
+  EXPECT_EQ(inside.text(tail), "llo");
+  Lexer at_end(src, diags, src.text.size());
+  const Token end = at_end.next();
+  EXPECT_EQ(end.kind, TokKind::kEnd);
+  EXPECT_EQ(end.offset, src.text.size());
+  EXPECT_TRUE(diags.empty());
+}
+
 TEST(Lexer, RenderDiagnosticHasCaretUnderColumn) {
   SourceFile src{"bad.pram", "pram p\n  @bad"};
   std::vector<Diagnostic> diags;
