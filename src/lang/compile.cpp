@@ -100,8 +100,9 @@ class Analyzer {
     }
     // Named vars allocate sequentially starting at the declared `vars`
     // total (raw-index space first, names appended after), so a file can
-    // freely mix `vars N` + raw refs with named declarations.
-    std::uint64_t next = p_.vars.value_or(0);
+    // freely mix `vars N` + raw refs with named declarations.  The sum is
+    // 128-bit: 64-bit counts cannot wrap it.
+    unsigned __int128 next = p_.vars.value_or(0);
     for (const VarDeclRec& d : p_.var_decls) {
       const std::string_view n = spelled(d.at);
       if (raw_ref_id(n) || opcode_from_keyword(n) || reserved(n)) {
@@ -116,21 +117,28 @@ class Analyzer {
         error(d.at, "variable '" + name(d.at) + "' has array size 0");
         continue;
       }
-      names_[n] = VarInfo{next, d.count};
+      names_[n] = VarInfo{static_cast<std::uint64_t>(next), d.count};
       next += d.count;
     }
-    nvars_ = next;
-    if (nvars_ == 0) {
+    if (next == 0) {
       error(p_.name_at, "program declares no variables");
-      nvars_ = 1;
+      next = 1;
     }
-    if (nvars_ > kMaxVarId + 1) {
+    if (next > kMaxVarId + 1) {
       error(vars_at(),
-            "variable id overflow: program needs " + std::to_string(nvars_) +
+            "variable id overflow: program needs " + decimal(next) +
                 " variables but ids are 32-bit (max " +
                 std::to_string(kMaxVarId + 1) + ")");
-      nvars_ = 1;
+      next = 1;
     }
+    nvars_ = static_cast<std::uint64_t>(next);
+  }
+
+  static std::string decimal(unsigned __int128 v) {
+    std::string digits;
+    do digits.insert(digits.begin(), static_cast<char>('0' + v % 10));
+    while ((v /= 10) != 0);
+    return digits;
   }
 
   /// Where a diagnostic about the variable count points: the `vars` total

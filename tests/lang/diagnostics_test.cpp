@@ -62,6 +62,12 @@ TEST(DiagnosticsGolden, ErewErrorsBatchOrder) { check_case("erew_order"); }
 TEST(DiagnosticsGolden, HugeLayoutWithALaneError) {
   check_case("huge_layout");
 }
+TEST(DiagnosticsGolden, DeclarationSizesSumPast64Bits) {
+  check_case("layout_overflow");
+}
+TEST(DiagnosticsGolden, VarsTotalPlusDeclarationPast64Bits) {
+  check_case("vars_overflow");
+}
 
 }  // namespace
 }  // namespace apex::lang
