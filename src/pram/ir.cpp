@@ -28,33 +28,6 @@ const char* opcode_name(OpCode op) noexcept {
   return "?";
 }
 
-bool is_nondeterministic(OpCode op) noexcept {
-  return op == OpCode::kRandBelow || op == OpCode::kCoin;
-}
-
-int reads_of(OpCode op) noexcept {
-  switch (op) {
-    case OpCode::kNop:
-    case OpCode::kConst:
-    case OpCode::kRandBelow:
-    case OpCode::kCoin:
-      return 0;
-    case OpCode::kCopy:
-      return 1;
-    case OpCode::kSelect:
-    case OpCode::kGatherDyn:
-      return 3;
-    default:
-      return 2;
-  }
-}
-
-bool writes_dest(OpCode op) noexcept { return op != OpCode::kNop; }
-
-bool reads_dyn_window(OpCode op) noexcept {
-  return op == OpCode::kGatherDyn;
-}
-
 Instr Instr::coin(std::uint32_t z, double p) {
   p = std::clamp(p, 0.0, 1.0);
   const Word fixed = static_cast<Word>(std::llround(p * 4294967296.0));

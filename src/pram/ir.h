@@ -72,21 +72,46 @@ enum class OpCode : std::uint8_t {
 
 const char* opcode_name(OpCode op) noexcept;
 
+// The predicates below are inline: every per-instruction pass (lowering,
+// the EREW pass, writer tables, the interpreter, both executors) asks them
+// once or more per instruction.
+
 /// True for operations whose result depends on the executing processor's
 /// random stream.
-bool is_nondeterministic(OpCode op) noexcept;
+inline constexpr bool is_nondeterministic(OpCode op) noexcept {
+  return op == OpCode::kRandBelow || op == OpCode::kCoin;
+}
 
 /// Number of STATICALLY addressed variable operands read by the op (0, 1,
 /// 2, or 3 for kSelect and kGatherDyn).  kGatherDyn's run-time segment
 /// read is extra and handled by the executors directly.
-int reads_of(OpCode op) noexcept;
+inline constexpr int reads_of(OpCode op) noexcept {
+  switch (op) {
+    case OpCode::kNop:
+    case OpCode::kConst:
+    case OpCode::kRandBelow:
+    case OpCode::kCoin:
+      return 0;
+    case OpCode::kCopy:
+      return 1;
+    case OpCode::kSelect:
+    case OpCode::kGatherDyn:
+      return 3;
+    default:
+      return 2;
+  }
+}
 
 /// True if the op writes its destination (everything but kNop).
-bool writes_dest(OpCode op) noexcept;
+inline constexpr bool writes_dest(OpCode op) noexcept {
+  return op != OpCode::kNop;
+}
 
 /// True for kGatherDyn: the op performs a run-time-addressed read inside
 /// the static segment packed into imm (base/bound resolved from variables).
-bool reads_dyn_window(OpCode op) noexcept;
+inline constexpr bool reads_dyn_window(OpCode op) noexcept {
+  return op == OpCode::kGatherDyn;
+}
 
 struct Instr {
   OpCode op = OpCode::kNop;
