@@ -1,6 +1,6 @@
 #include "lang/compile.h"
 
-#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -27,7 +27,7 @@ struct SegInfo {
   std::uint32_t len = 0;
 };
 
-class Analyzer {
+class Analyzer final : private pram::ErewSink {
  public:
   Analyzer(const SourceFile& src, ParsedProgram& p,
            std::vector<Diagnostic>& diags)
@@ -37,7 +37,7 @@ class Analyzer {
     resolve_layout();
     resolve_segments();
     // A legal layout can still be too large for this machine: the steps
-    // hold processors × steps instructions, the EREW mirror and Program's
+    // hold processors × steps instructions, the EREW pass and Program's
     // tables one entry per variable.  Running out ends in a diagnostic.
     std::vector<pram::Step> steps;
     try {
@@ -50,28 +50,29 @@ class Analyzer {
     }
     if (!diags_.empty()) return std::nullopt;
     try {
-      check_erew(steps);
-      if (!diags_.empty()) return std::nullopt;
-      // Our checks mirror Program's own validation, so this construction
-      // cannot throw otherwise; the catch below is a backstop so a checker
-      // gap still surfaces as a diagnostic rather than terminating the
-      // caller.
+      // Program's one EREW pass reports each violation to violation()
+      // below, which locates it; then the constructor throws.
       return pram::Program(static_cast<std::size_t>(procs_),
                            static_cast<std::size_t>(nvars_),
-                           std::move(steps));
+                           std::move(steps), this);
     } catch (const std::bad_alloc&) {
       error(vars_at(), "cannot allocate the layout: " +
                            std::to_string(nvars_) + " variables");
       return std::nullopt;
     } catch (const std::exception& e) {
-      error(p_.name_at, std::string("internal: program validation failed "
-                                    "after analysis: ") +
-                            e.what());
+      // A backstop: a rule the analyzer does not locate still ends in a
+      // diagnostic rather than terminating the caller.
+      if (diags_.empty()) internal(e.what());
       return std::nullopt;
     }
   }
 
  private:
+  void internal(const std::string& what) {
+    error(p_.name_at,
+          "internal: program validation failed after analysis: " + what);
+  }
+
   /// Locates from the previous diagnostic: batches mostly move forward.
   void error(std::size_t at, std::string msg) {
     last_ = src_.loc_at(at, last_);
@@ -177,6 +178,13 @@ class Analyzer {
       segs_[n] = SegInfo{static_cast<std::uint32_t>(*base),
                          static_cast<std::uint32_t>(d.len)};
     }
+    // Each distinct name a gather_dyn uses, resolved once; null when it
+    // names no segment.
+    seg_of_use_.reserve(p_.seg_uses.size());
+    for (const std::uint32_t at : p_.seg_uses) {
+      const auto it = segs_.find(spelled(at));
+      seg_of_use_.push_back(it == segs_.end() ? nullptr : &it->second);
+    }
   }
 
   /// Resolve a reference to a variable index, or nullopt after reporting.
@@ -240,16 +248,15 @@ class Analyzer {
                                   " in step");
           continue;
         }
-        const auto ins = lower(lane);
-        if (!ins) continue;
-        steps[s].instrs[lane.lane] = *ins;
-        placed[lane.lane] = true;
+        if (lower(lane, steps[s].instrs[lane.lane])) placed[lane.lane] = true;
       }
     }
     return steps;
   }
 
-  std::optional<pram::Instr> lower(const LaneRec& lane) {
+  /// Writes the lane's instruction to `out`, or reports why it has none
+  /// (leaving `out` a nop).
+  bool lower(const LaneRec& lane, pram::Instr& out) {
     using pram::OpCode;
     const OpCode op = lane.op;
     // Resolve the op's operands in the order they are written: z, x, y, c,
@@ -265,93 +272,84 @@ class Analyzer {
       ok = ok && v;
       id[k] = v.value_or(0);
     }
-    if (!ok) return std::nullopt;
+    if (!ok) return false;
     auto u32 = [](std::uint64_t v) { return static_cast<std::uint32_t>(v); };
-    pram::Instr ins{op, u32(id[0]), u32(id[1]), u32(id[2]), u32(id[3]),
-                    lane.imm};
     // The coin immediate is the RAW fixed-point success probability
     // (p * 2^32), not a percentage — this keeps emit/parse lossless.
     if (op == OpCode::kCoin && lane.imm > (std::uint64_t{1} << 32)) {
       error(lane.imm_at,
             "coin immediate exceeds 2^32 (fixed-point probability)");
-      return std::nullopt;
+      return false;
     }
     if (op == OpCode::kGatherDyn) {
-      const auto it = segs_.find(spelled(lane.imm_at));
-      if (it == segs_.end()) {
+      const SegInfo* seg = seg_of_use_[lane.imm];
+      if (seg == nullptr) {
         error(lane.imm_at, "undefined segment '" + name(lane.imm_at) + "'");
-        return std::nullopt;
+        return false;
       }
-      return pram::Instr::gather_dyn(ins.z, ins.x, ins.y, ins.c,
-                                     it->second.base, it->second.len);
+      out = pram::Instr::gather_dyn(u32(id[0]), u32(id[1]), u32(id[2]),
+                                    u32(id[3]), seg->base, seg->len);
+      return true;
     }
-    return ins;
+    out = {op, u32(id[0]), u32(id[1]), u32(id[2]), u32(id[3]), lane.imm};
+    return true;
   }
 
-  // ---- EREW (source-located mirror of Program::validate_erew) ----------
+  // ---- EREW violations, located ----------------------------------------
 
-  /// Runs once every lane compiled, like Program's own check; frees each
-  /// step's records once it is checked.
-  void check_erew(const std::vector<pram::Step>& steps) {
-    std::vector<std::uint32_t> reads(nvars_, 0), writes(nvars_, 0);
-    std::vector<const LaneRec*> lane_of;  // [thread], this step
-    for (std::size_t s = 0; s < steps.size(); ++s) {
-      const std::uint32_t epoch = static_cast<std::uint32_t>(s) + 1;
-      lane_of.assign(static_cast<std::size_t>(procs_), nullptr);
-      for (const LaneRec& lane : p_.steps[s]) lane_of[lane.lane] = &lane;
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> step_segs;
-      struct Write { std::uint32_t var; const LaneRec* lane; };
-      std::vector<Write> written;
-      for (std::size_t t = 0; t < steps[s].instrs.size(); ++t) {
-        const pram::Instr& ins = steps[s].instrs[t];
-        const LaneRec* lane = lane_of[t];
-        if (lane == nullptr) continue;  // implicit nop
-        const int r = pram::reads_of(ins.op);
-        if (r >= 1) mark_read(reads, epoch, ins.x, lane->x.at);
-        if (r >= 2) mark_read(reads, epoch, ins.y, lane->y.at);
-        if (r >= 3) mark_read(reads, epoch, ins.c, lane->c.at);
-        if (pram::reads_dyn_window(ins.op)) {
-          const auto seg = std::make_pair(pram::dyn_seg_base(ins),
-                                          pram::dyn_seg_len(ins));
-          if (std::find(step_segs.begin(), step_segs.end(), seg) ==
-              step_segs.end())
-            step_segs.push_back(seg);
-        }
-        if (pram::writes_dest(ins.op)) {
-          if (writes[ins.z] == epoch) {
-            error(lane->z.at, "EREW violation: variable v" +
-                                  std::to_string(ins.z) +
-                                  " written by more than one thread in this "
-                                  "step");
-          } else {
-            writes[ins.z] = epoch;
-          }
-          written.push_back({ins.z, lane});
-        }
-      }
-      // Segment cells must stay frozen while any gather_dyn of this step
-      // may read them.
-      for (const auto& [base, len] : step_segs)
-        for (const Write& w : written)
-          if (w.var >= base && w.var - base < len)
-            error(w.lane->z.at,
-                  "variable v" + std::to_string(w.var) +
-                      " written inside gather_dyn segment [v" +
-                      std::to_string(base) + ", v" +
-                      std::to_string(static_cast<std::uint64_t>(base) + len) +
-                      ")");
-      std::vector<LaneRec>().swap(p_.steps[s]);
+  void violation(const pram::ErewViolation& v) override {
+    using pram::ErewRule;
+    const std::string var = "variable v" + std::to_string(v.var);
+    switch (v.rule) {
+      case ErewRule::kShared:
+        if (v.operand == pram::Operand::kZ)
+          error(lane_of(v).z.at, "EREW violation: " + var +
+                                     " written by more than one thread in "
+                                     "this step");
+        else
+          error(operand_of(v).at, "EREW violation: " + var +
+                                      " read by more than one thread in "
+                                      "this step");
+        return;
+      case ErewRule::kSegmentWrite:
+        error(lane_of(v).z.at,
+              var + " written inside gather_dyn segment [v" +
+                  std::to_string(v.seg_base) + ", v" +
+                  std::to_string(std::uint64_t{v.seg_base} + v.seg_len) +
+                  ")");
+        return;
+      default:  // the analyzer rules these out before the pass
+        internal(v.message(static_cast<std::size_t>(nvars_)));
+        return;
     }
   }
 
-  void mark_read(std::vector<std::uint32_t>& reads, std::uint32_t epoch,
-                 std::uint32_t var, std::size_t at) {
-    if (reads[var] == epoch) {
-      error(at, "EREW violation: variable v" + std::to_string(var) +
-                    " read by more than one thread in this step");
-      return;
+  /// Frees the step's records once the pass is past it.
+  void step_checked(std::size_t s) override {
+    std::vector<LaneRec>().swap(p_.steps[s]);
+    lanes_step_ = kNoStep;
+  }
+
+  /// The record of the violating instruction.  Every instruction that
+  /// uses a variable has one: implicit nops use none.
+  const LaneRec& lane_of(const pram::ErewViolation& v) {
+    if (lanes_step_ != v.step) {
+      lane_at_.assign(static_cast<std::size_t>(procs_), nullptr);
+      for (const LaneRec& lane : p_.steps[v.step])
+        lane_at_[lane.lane] = &lane;
+      lanes_step_ = v.step;
     }
-    reads[var] = epoch;
+    return *lane_at_[v.thread];
+  }
+
+  const RefRec& operand_of(const pram::ErewViolation& v) {
+    const LaneRec& lane = lane_of(v);
+    switch (v.operand) {
+      case pram::Operand::kX: return lane.x;
+      case pram::Operand::kY: return lane.y;
+      case pram::Operand::kC: return lane.c;
+      default: return lane.z;
+    }
   }
 
   const SourceFile& src_;
@@ -363,6 +361,10 @@ class Analyzer {
   std::uint64_t nvars_ = 0;
   std::unordered_map<std::string_view, VarInfo> names_;
   std::unordered_map<std::string_view, SegInfo> segs_;
+  std::vector<const SegInfo*> seg_of_use_;  ///< [ParsedProgram::seg_uses]
+  static constexpr std::size_t kNoStep = SIZE_MAX;
+  std::size_t lanes_step_ = kNoStep;        ///< The step lane_at_ maps.
+  std::vector<const LaneRec*> lane_at_;     ///< [thread], that step
 };
 
 }  // namespace

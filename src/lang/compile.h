@@ -1,35 +1,39 @@
 // Semantic analysis + codegen: lane records -> validated pram::Program.
 //
-// One pass writes each lane's pram::Instr into the final steps, and every
-// rule pram::Program::validate_erew enforces at construction time is
-// re-checked there FIRST, located by the records' source offsets, so
-// violations surface as file:line:col diagnostics with a caret instead of
-// std::invalid_argument throws.  The mapping:
+// One pass writes each lane's pram::Instr into the final steps.  The EREW
+// rule is not re-checked here: the analyzer hands Program's constructor an
+// ErewSink, the constructor's one EREW pass (pram::scan_erew) reports each
+// violation to it, and the analyzer locates it by the records' source
+// offsets, so violations surface as file:line:col diagnostics with a
+// caret instead of std::invalid_argument throws.  The mapping:
 //
-//   validate_erew rule                      diagnostic (anchored at)
+//   EREW pass rule                          diagnostic (anchored at)
 //   -----------------------------------    --------------------------------
-//   operand var out of range                "variable vN out of range"
-//                                           (the operand ref)
 //   var read by two threads in a step       "EREW violation: ... read by
 //                                           more than one thread" (second
 //                                           reading operand)
 //   var written by two threads in a step    "...written by more than one
 //                                           thread" (second writer's dest)
-//   gather_dyn segment length 0 / exceeds   "segment ..." (the declaration)
 //   same-step write into a segment          "written inside gather_dyn
 //                                           segment" (the writer's dest)
 //
-// Language-level checks with no validate_erew twin: undefined variable or
-// segment names, subscripts out of a named array's bounds, variable ids
+// The pass's other rules are ruled out before it runs: an operand out of
+// range ("variable vN out of range", at the ref) and a segment of length
+// 0 or past nvars ("segment ...", at the declaration).  Should one still
+// fire, it becomes an "internal" diagnostic, never a throw.
+//
+// Language-level checks with no pass twin: undefined variable or segment
+// names, subscripts out of a named array's bounds, variable ids
 // overflowing 32 bits (Instr stores uint32_t), lane indices out of range
 // or duplicated, missing/zero `procs`/`vars`.
 //
 // Semantic errors are batched: layout, segments, then lanes in file order;
 // EREW conflicts (by step, then thread) only when all of those passed.
 //
-// Compilation succeeds only when the diagnostic list is empty; the
-// returned Program has already passed its own constructor validation, so
-// downstream executors can trust it exactly like a hand-built kernel.
+// Compilation succeeds only when the diagnostic list is empty, and a
+// successful compile runs the EREW pass exactly once; the returned Program
+// has passed it, so downstream executors can trust it exactly like a
+// hand-built kernel.
 #pragma once
 
 #include <optional>

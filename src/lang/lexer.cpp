@@ -18,65 +18,25 @@ const char* tok_kind_name(TokKind k) noexcept {
   return "?";
 }
 
-namespace {
-
-bool is_ident_start(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
-}
-bool is_ident_char(char c) {
-  return is_ident_start(c) || (c >= '0' && c <= '9');
-}
-bool is_digit(char c) { return c >= '0' && c <= '9'; }
-
-}  // namespace
-
-Token Lexer::next() {
-  const std::string& s = src_.text;
-  while (!failed_ && pos_ < s.size()) {
-    const std::size_t start = pos_;
-    const char c = s[pos_];
-    if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-      ++pos_;
-      continue;
-    }
-    if (c == '#') {
-      while (pos_ < s.size() && s[pos_] != '\n') ++pos_;
-      continue;
-    }
-    if (is_ident_start(c)) {
-      while (++pos_ < s.size() && is_ident_char(s[pos_])) {}
-      return {TokKind::kIdent, start, pos_ - start};
-    }
-    if (is_digit(c)) {
-      std::uint64_t v = 0;
-      bool overflow = false;
-      for (; pos_ < s.size() && is_digit(s[pos_]); ++pos_) {
-        const std::uint64_t d = static_cast<std::uint64_t>(s[pos_] - '0');
-        if (v > (UINT64_MAX - d) / 10) overflow = true;
-        if (!overflow) v = v * 10 + d;
-      }
-      if (!overflow) return {TokKind::kInt, start, pos_ - start, v};
-      fail(start, "integer literal '" + s.substr(start, pos_ - start) +
-                      "' does not fit in 64 bits");
-      break;
-    }
-    TokKind k;
-    switch (c) {
-      case '{': k = TokKind::kLBrace; break;
-      case '}': k = TokKind::kRBrace; break;
-      case '[': k = TokKind::kLBracket; break;
-      case ']': k = TokKind::kRBracket; break;
-      case ',': k = TokKind::kComma; break;
-      case ':': k = TokKind::kColon; break;
-      case '=': k = TokKind::kEq; break;
-      default:
-        fail(start, std::string("unexpected character '") + c + "'");
-        continue;
-    }
-    ++pos_;
-    return {k, start, 1};
+Token Lexer::long_integer(std::size_t start, std::size_t end) {
+  std::uint64_t v = 0;
+  bool overflow = false;
+  for (std::size_t i = start; i < end; ++i) {
+    const auto d = static_cast<std::uint64_t>(src_.text[i] - '0');
+    if (v > (UINT64_MAX - d) / 10) overflow = true;
+    if (!overflow) v = v * 10 + d;
   }
+  if (!overflow) {
+    pos_ = end;
+    return {TokKind::kInt, start, end - start, v};
+  }
+  fail(start, "integer literal '" + src_.text.substr(start, end - start) +
+                  "' does not fit in 64 bits");
   return {TokKind::kEnd, pos_};
+}
+
+void Lexer::stray(std::size_t at) {
+  fail(at, std::string("unexpected character '") + src_.text[at] + "'");
 }
 
 void Lexer::fail(std::size_t at, std::string message) {

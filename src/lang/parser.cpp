@@ -4,6 +4,8 @@
 #include <array>
 #include <limits>
 #include <string>
+#include <unordered_map>
+#include <utility>
 
 #include "lang/lexer.h"
 
@@ -12,27 +14,35 @@ namespace apex::lang {
 std::optional<pram::OpCode> opcode_from_keyword(std::string_view kw) {
   using pram::OpCode;
   constexpr int kOps = static_cast<int>(OpCode::kGatherDyn) + 1;
-  static const auto kNames = [] {
-    std::array<std::string_view, kOps> names;
-    for (int i = 0; i < kOps; ++i)
-      names[i] = pram::opcode_name(static_cast<OpCode>(i));
-    return names;
+  // The opcodes sorted by their keyword's first byte: a lookup compares
+  // only the keywords that share kw's first byte, three at most.
+  struct Index {
+    std::array<std::string_view, kOps> name;
+    std::array<OpCode, kOps> op;
+    std::array<std::uint8_t, 257> first{};  ///< [byte, byte+1) in op/name
+  };
+  static const Index kIndex = [] {
+    Index x;
+    auto byte = [](OpCode op) {
+      return static_cast<unsigned char>(pram::opcode_name(op)[0]);
+    };
+    for (int i = 0; i < kOps; ++i) ++x.first[byte(static_cast<OpCode>(i)) + 1];
+    for (int b = 0; b < 256; ++b) x.first[b + 1] += x.first[b];
+    std::array<std::uint8_t, 256> next;
+    std::copy(x.first.begin(), x.first.end() - 1, next.begin());
+    for (int i = 0; i < kOps; ++i) {
+      const auto op = static_cast<OpCode>(i);
+      const int at = next[byte(op)]++;
+      x.op[at] = op;
+      x.name[at] = pram::opcode_name(op);
+    }
+    return x;
   }();
-  for (int i = 0; i < kOps; ++i)
-    if (kw == kNames[i]) return static_cast<OpCode>(i);
+  if (kw.empty()) return std::nullopt;
+  const auto b = static_cast<unsigned char>(kw[0]);
+  for (int i = kIndex.first[b]; i < kIndex.first[b + 1]; ++i)
+    if (kw == kIndex.name[i]) return kIndex.op[i];
   return std::nullopt;
-}
-
-std::optional<std::uint64_t> raw_ref_id(std::string_view name) {
-  constexpr std::uint64_t kCap = std::uint64_t{1} << 32;
-  if (name.size() < 2 || name[0] != 'v') return std::nullopt;
-  std::uint64_t id = 0;
-  for (const char ch : name.substr(1)) {
-    if (ch < '0' || ch > '9') return std::nullopt;
-    if (id < kCap)
-      id = std::min(id * 10 + static_cast<std::uint64_t>(ch - '0'), kCap);
-  }
-  return id;
 }
 
 namespace {
@@ -43,23 +53,31 @@ class Parser {
       : src_(src), diags_(diags), lex_(src, diags), cur_(lex_.next()) {}
 
   std::optional<ParsedProgram> run() {
-    ParsedProgram p;
     if (!at(TokKind::kIdent) || lex_.text(cur_) != "pram") {
       fail("expected 'pram', found " + describe(cur_));
       return std::nullopt;
     }
     advance();
-    if (!expect(TokKind::kIdent, "program name", &p.name_at))
+    if (!expect(TokKind::kIdent, "program name", &p_.name_at))
       return std::nullopt;
     while (!at(TokKind::kEnd))
-      if (!parse_item(p)) return std::nullopt;
+      if (!parse_item()) return std::nullopt;
     if (lex_.failed()) return std::nullopt;
-    return p;
+    return std::move(p_);
   }
 
  private:
   bool at(TokKind k) const { return cur_.kind == k; }
-  void advance() { cur_ = lex_.next(); }
+  /// Field by field: assigned whole, the inlined next()'s token is built
+  /// on the stack and read back in 16-byte halves, a store-forwarding
+  /// stall on every token (GCC 12, x86-64).
+  void advance() {
+    const Token t = lex_.next();
+    cur_.kind = t.kind;
+    cur_.offset = t.offset;
+    cur_.length = t.length;
+    cur_.value = t.value;
+  }
 
   /// Reports a syntax error at the current token.  A lexical error
   /// anywhere in the file takes precedence, so this lexes to the end first.
@@ -74,13 +92,16 @@ class Parser {
   /// its offset and `value` an integer's value.
   bool expect(TokKind k, const char* what, std::uint32_t* where = nullptr,
               std::uint64_t* value = nullptr) {
-    if (!at(k))
-      return fail(std::string("expected ") + what + ", found " +
-                  describe(cur_));
+    if (!at(k)) return missing(what);
     if (where) *where = static_cast<std::uint32_t>(cur_.offset);
     if (value) *value = cur_.value;
     advance();
     return true;
+  }
+
+  [[gnu::noinline]] bool missing(const char* what) {
+    return fail(std::string("expected ") + what + ", found " +
+                describe(cur_));
   }
 
   std::string describe(const Token& t) const {
@@ -92,21 +113,21 @@ class Parser {
     }
   }
 
-  bool parse_item(ParsedProgram& p) {
+  bool parse_item() {
     const std::string_view kw =
         at(TokKind::kIdent) ? lex_.text(cur_) : std::string_view();
     const auto kw_at = static_cast<std::uint32_t>(cur_.offset);
     if (kw == "procs") {
       advance();
-      p.procs_at = kw_at;
+      p_.procs_at = kw_at;
       return expect(TokKind::kInt, "processor count", nullptr,
-                    &p.procs.emplace());
+                    &p_.procs.emplace());
     }
     if (kw == "vars") {
       advance();
-      p.vars_at = kw_at;
+      p_.vars_at = kw_at;
       return expect(TokKind::kInt, "variable count", nullptr,
-                    &p.vars.emplace());
+                    &p_.vars.emplace());
     }
     if (kw == "var") {
       advance();
@@ -118,7 +139,7 @@ class Parser {
             !expect(TokKind::kRBracket, "']'"))
           return false;
       }
-      p.var_decls.push_back(d);
+      p_.var_decls.push_back(d);
       return true;
     }
     if (kw == "segment") {
@@ -129,13 +150,16 @@ class Parser {
           !expect(TokKind::kColon, "':'") ||
           !expect(TokKind::kInt, "segment length", &d.len_at, &d.len))
         return false;
-      p.seg_decls.push_back(d);
+      p_.seg_decls.push_back(d);
       return true;
     }
     if (kw == "step") {
       advance();
       if (!expect(TokKind::kLBrace, "'{'")) return false;
-      std::vector<LaneRec>& lanes = p.steps.emplace_back();
+      // Steps of one program mostly have the same width.
+      const std::size_t width = p_.steps.empty() ? 0 : p_.steps.back().size();
+      std::vector<LaneRec>& lanes = p_.steps.emplace_back();
+      lanes.reserve(width);
       while (!at(TokKind::kRBrace)) {
         if (!parse_lane(lanes.emplace_back())) return false;
       }
@@ -174,7 +198,7 @@ class Parser {
       case OpCode::kGatherDyn:
         return parse_ref(lane.z) && comma() && parse_ref(lane.x) && comma() &&
                parse_ref(lane.y) && comma() && parse_ref(lane.c) && comma() &&
-               expect(TokKind::kIdent, "segment name", &lane.imm_at);
+               parse_segment_use(lane);
       default:  // two-operand ALU ops
         return parse_ref(lane.z) && comma() && parse_ref(lane.x) && comma() &&
                parse_ref(lane.y);
@@ -186,6 +210,22 @@ class Parser {
   bool parse_imm(LaneRec& lane) {
     return expect(TokKind::kInt, "an integer immediate", &lane.imm_at,
                   &lane.imm);
+  }
+
+  /// A gather_dyn's segment name: lane.imm becomes its index among the
+  /// distinct names lanes use (ParsedProgram::seg_uses).
+  bool parse_segment_use(LaneRec& lane) {
+    const std::string_view name = lex_.text(cur_);
+    if (!expect(TokKind::kIdent, "segment name", &lane.imm_at)) return false;
+    if (name != last_use_name_) {  // most lanes name the previous one
+      const auto [it, added] = seg_use_.try_emplace(
+          name, static_cast<std::uint32_t>(p_.seg_uses.size()));
+      if (added) p_.seg_uses.push_back(lane.imm_at);
+      last_use_name_ = name;
+      last_use_ = it->second;
+    }
+    lane.imm = last_use_;
+    return true;
   }
 
   bool parse_ref(RefRec& r) {
@@ -204,6 +244,10 @@ class Parser {
   std::vector<Diagnostic>& diags_;
   Lexer lex_;
   Token cur_;
+  ParsedProgram p_;
+  std::unordered_map<std::string_view, std::uint32_t> seg_use_;
+  std::string_view last_use_name_;
+  std::uint32_t last_use_ = 0;
 };
 
 }  // namespace

@@ -34,6 +34,7 @@
 // the compiler, which also owns every semantic rule (compile.h).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -59,7 +60,8 @@ struct RefRec {
 struct LaneRec {
   RefRec z, x, y, c;          ///< Used according to the op's arity.
   std::uint64_t lane = 0;
-  std::uint64_t imm = 0;      ///< const/rand_below/coin imm.
+  std::uint64_t imm = 0;      ///< const/rand_below/coin imm; gather_dyn's
+                              ///< index in ParsedProgram::seg_uses.
   std::uint32_t lane_at = 0;
   std::uint32_t imm_at = 0;   ///< The imm, or gather_dyn's segment name.
   pram::OpCode op = pram::OpCode::kNop;
@@ -86,6 +88,9 @@ struct ParsedProgram {
   std::uint32_t vars_at = 0;
   std::vector<VarDeclRec> var_decls;
   std::vector<SegDeclRec> seg_decls;
+  /// Where each distinct segment name a gather_dyn names is first spelled,
+  /// so the compiler resolves each once.
+  std::vector<std::uint32_t> seg_uses;
   std::vector<std::vector<LaneRec>> steps;  ///< Each step's lanes, in order.
 };
 
@@ -94,7 +99,17 @@ std::optional<pram::OpCode> opcode_from_keyword(std::string_view kw);
 
 /// The id of a raw ref `v<digits>` (capped at 2^32), or nullopt when
 /// `name` is not one.
-std::optional<std::uint64_t> raw_ref_id(std::string_view name);
+inline std::optional<std::uint64_t> raw_ref_id(std::string_view name) {
+  constexpr std::uint64_t kCap = std::uint64_t{1} << 32;
+  if (name.size() < 2 || name[0] != 'v') return std::nullopt;
+  std::uint64_t id = 0;
+  for (const char ch : name.substr(1)) {
+    const auto d = static_cast<std::uint64_t>(ch) - '0';
+    if (d > 9) return std::nullopt;
+    id = id < kCap ? id * 10 + d : kCap;  // below 2^36: no wrap
+  }
+  return std::min(id, kCap);
+}
 
 /// Lex and parse `src`.  Returns nullopt when an error was appended to
 /// `diags`: a lexical error anywhere in the file if there is one, else the

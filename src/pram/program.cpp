@@ -6,102 +6,121 @@
 
 namespace apex::pram {
 
-namespace {
-
-// Epoch-tagged use marks: mark[var] == epoch means "already used this
-// step".  Reused across steps without clearing, which keeps validation
-// O(total instruction operands) instead of O(nsteps * nvars) -- the
-// difference between milliseconds and minutes at graph scale.
-void bump_or_throw(std::vector<std::uint32_t>& marks, std::uint32_t epoch,
-                   std::uint32_t var, std::size_t nvars, std::size_t step,
-                   const char* what) {
-  if (var >= nvars)
-    throw std::invalid_argument("PRAM step " + std::to_string(step) + ": " +
-                                what + " variable v" + std::to_string(var) +
-                                " out of range (nvars=" +
-                                std::to_string(nvars) + ")");
-  if (marks[var] == epoch)
-    throw std::invalid_argument("PRAM step " + std::to_string(step) +
-                                ": EREW violation, variable v" +
-                                std::to_string(var) + " " + what +
-                                " by more than one thread");
-  marks[var] = epoch;
+std::string ErewViolation::message(std::size_t nvars) const {
+  const std::string at = "PRAM step " + std::to_string(step) + ": ";
+  const std::string v = "v" + std::to_string(var);
+  const std::string how = operand == Operand::kZ ? "written" : "read";
+  const std::string seg =
+      "[v" + std::to_string(seg_base) + ", v" +
+      std::to_string(std::uint64_t{seg_base} + seg_len) + ")";
+  switch (rule) {
+    case ErewRule::kStepWidth:
+      return at + "instruction count != nthreads";
+    case ErewRule::kOutOfRange:
+      return at + how + " variable " + v + " out of range (nvars=" +
+             std::to_string(nvars) + ")";
+    case ErewRule::kShared:
+      return at + "EREW violation, variable " + v + " " + how +
+             " by more than one thread";
+    case ErewRule::kEmptySegment:
+      return at + "gather_dyn segment length is 0";
+    case ErewRule::kSegmentOutOfRange:
+      return at + "gather_dyn segment " + seg +
+             " exceeds nvars=" + std::to_string(nvars);
+    case ErewRule::kSegmentWrite:
+      return at + "variable " + v + " written inside gather_dyn segment " +
+             seg;
+  }
+  return at + "EREW violation";
 }
 
-}  // namespace
-
-void Program::validate_erew(std::size_t nthreads, std::size_t nvars,
-                            const std::vector<Step>& steps) {
+ErewScan scan_erew(std::size_t nthreads, std::size_t nvars,
+                   const std::vector<Step>& steps, ErewSink* sink) {
+  ErewScan scan;
+  auto report = [&](const ErewViolation& v) {
+    ++scan.violations;
+    if (!sink) throw std::invalid_argument(v.message(nvars));
+    sink->violation(v);
+  };
+  // Epoch-tagged use marks: marks[var] == epoch means "already used this
+  // step".  Reused across steps without clearing, which keeps the pass
+  // O(total instruction operands) instead of O(nsteps * nvars) -- the
+  // difference between milliseconds and minutes at graph scale.
   std::vector<std::uint32_t> reads(nvars, 0), writes(nvars, 0);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> segs;  // (base, len)
-  std::vector<std::uint32_t> written;
   for (std::size_t s = 0; s < steps.size(); ++s) {
-    const Step& st = steps[s];
-    if (st.instrs.size() != nthreads)
-      throw std::invalid_argument("PRAM step " + std::to_string(s) +
-                                  ": instruction count != nthreads");
+    const std::vector<Instr>& instrs = steps[s].instrs;
+    if (instrs.size() != nthreads)
+      report({ErewRule::kStepWidth, s});
     const std::uint32_t epoch = static_cast<std::uint32_t>(s) + 1;
+    // Marks `var` as used by `operand` of thread t.
+    auto use = [&](std::vector<std::uint32_t>& marks, std::size_t t,
+                   Operand operand, std::uint32_t var) {
+      if (var >= nvars)
+        report({ErewRule::kOutOfRange, s, t, operand, var});
+      else if (marks[var] == epoch)
+        report({ErewRule::kShared, s, t, operand, var});
+      else
+        marks[var] = epoch;
+    };
     segs.clear();
-    written.clear();
-    for (const Instr& ins : st.instrs) {
+    for (std::size_t t = 0; t < instrs.size(); ++t) {
+      const Instr& ins = instrs[t];
+      scan.nondet |= is_nondeterministic(ins.op);
       const int r = reads_of(ins.op);
-      if (r >= 1) bump_or_throw(reads, epoch, ins.x, nvars, s, "read");
-      if (r >= 2) bump_or_throw(reads, epoch, ins.y, nvars, s, "read");
-      if (r >= 3) bump_or_throw(reads, epoch, ins.c, nvars, s, "read");
+      if (r >= 1) use(reads, t, Operand::kX, ins.x);
+      if (r >= 2) use(reads, t, Operand::kY, ins.y);
+      if (r >= 3) use(reads, t, Operand::kC, ins.c);
       if (reads_dyn_window(ins.op)) {
         // Segment reads are CREW (pure loads of frozen data; see ir.h), so
         // they don't bump the read marks -- but the segment itself must be
         // well-formed, and no thread may WRITE into any declared segment
-        // this step (checked against `written` once the step is scanned).
-        const std::uint32_t base = dyn_seg_base(ins);
-        const std::uint32_t len = dyn_seg_len(ins);
-        if (len == 0)
-          throw std::invalid_argument("PRAM step " + std::to_string(s) +
-                                      ": gather_dyn segment length is 0");
-        if (static_cast<std::uint64_t>(base) + len > nvars)
-          throw std::invalid_argument(
-              "PRAM step " + std::to_string(s) + ": gather_dyn segment [v" +
-              std::to_string(base) + ", v" +
-              std::to_string(static_cast<std::uint64_t>(base) + len) +
-              ") exceeds nvars=" + std::to_string(nvars));
-        const auto seg = std::make_pair(base, len);
-        if (std::find(segs.begin(), segs.end(), seg) == segs.end())
+        // this step (checked once the step is scanned).
+        scan.dyn_gather = true;
+        const auto seg = std::make_pair(dyn_seg_base(ins), dyn_seg_len(ins));
+        if (seg.second == 0)
+          report({ErewRule::kEmptySegment, s, t, Operand::kX, 0, seg.first,
+                  seg.second});
+        else if (std::uint64_t{seg.first} + seg.second > nvars)
+          report({ErewRule::kSegmentOutOfRange, s, t, Operand::kX, 0,
+                  seg.first, seg.second});
+        else if (std::find(segs.begin(), segs.end(), seg) == segs.end())
           segs.push_back(seg);
       }
-      if (writes_dest(ins.op)) {
-        bump_or_throw(writes, epoch, ins.z, nvars, s, "written");
-        written.push_back(ins.z);
-      }
+      if (writes_dest(ins.op)) use(writes, t, Operand::kZ, ins.z);
     }
     // No same-step write may land inside a declared gather_dyn segment:
     // dynamic window reads are only safe because segment data is frozen
     // while the step runs.
     for (const auto& [base, len] : segs)
-      for (std::uint32_t z : written)
-        if (z >= base && z - base < len)
-          throw std::invalid_argument(
-              "PRAM step " + std::to_string(s) + ": variable v" +
-              std::to_string(z) + " written inside gather_dyn segment [v" +
-              std::to_string(base) + ", v" +
-              std::to_string(static_cast<std::uint64_t>(base) + len) + ")");
-    // Reading and writing the same variable within one step is legal: the
-    // split Compute/Copy execution (paper §2.1, Fig. 1) orders every read
-    // of a step before every write, so x <- f(x, y) and simultaneous-swap
-    // patterns are well-defined.
+      for (std::size_t t = 0; t < instrs.size(); ++t) {
+        const Instr& ins = instrs[t];
+        if (writes_dest(ins.op) && ins.z >= base && ins.z - base < len)
+          report({ErewRule::kSegmentWrite, s, t, Operand::kZ, ins.z, base,
+                  len});
+      }
+    if (sink) sink->step_checked(s);
   }
+  return scan;
+}
+
+void Program::validate_erew(std::size_t nthreads, std::size_t nvars,
+                            const std::vector<Step>& steps) {
+  scan_erew(nthreads, nvars, steps, nullptr);
 }
 
 Program::Program(std::size_t nthreads, std::size_t nvars,
-                 std::vector<Step> steps)
+                 std::vector<Step> steps, ErewSink* sink)
     : nthreads_(nthreads), nvars_(nvars), steps_(std::move(steps)) {
   if (nthreads_ == 0) throw std::invalid_argument("Program: nthreads == 0");
   if (nvars_ == 0) throw std::invalid_argument("Program: nvars == 0");
-  validate_erew(nthreads_, nvars_, steps_);
-  for (const auto& st : steps_)
-    for (const auto& ins : st.instrs) {
-      nondet_ |= pram::is_nondeterministic(ins.op);
-      has_dyn_gather_ |= reads_dyn_window(ins.op);
-    }
+  const ErewScan scan = scan_erew(nthreads_, nvars_, steps_, sink);
+  if (scan.violations != 0)
+    throw std::invalid_argument("Program: " +
+                                std::to_string(scan.violations) +
+                                " EREW violations");
+  nondet_ = scan.nondet;
+  has_dyn_gather_ = scan.dyn_gather;
   build_writer_tables();
 }
 

@@ -35,6 +35,73 @@ struct Step {
   std::vector<Instr> instrs;  ///< One per thread.
 };
 
+// ---- the EREW rule ---------------------------------------------------------
+
+/// The rule an EREW violation breaks.
+enum class ErewRule : std::uint8_t {
+  kStepWidth,          ///< The step does not hold one instruction per thread.
+  kOutOfRange,         ///< An operand variable is not below nvars.
+  kShared,             ///< A second thread reads (or writes) the variable.
+  kEmptySegment,       ///< A gather_dyn segment of length 0.
+  kSegmentOutOfRange,  ///< A gather_dyn segment reaching past nvars.
+  kSegmentWrite,       ///< A same-step write inside a gather_dyn segment.
+};
+
+/// The operand of an instruction a violation is about: z is the write,
+/// x, y and c the reads.
+enum class Operand : std::uint8_t { kZ, kX, kY, kC };
+
+/// One violation of the EREW discipline.  `thread` and `operand` place it
+/// in the step (the writer's z for kSegmentWrite); `var` is the variable;
+/// seg_base/seg_len are the gather_dyn segment of the three segment rules.
+struct ErewViolation {
+  ErewRule rule = ErewRule::kShared;
+  std::size_t step = 0;
+  std::size_t thread = 0;
+  Operand operand = Operand::kZ;
+  std::uint32_t var = 0;
+  std::uint32_t seg_base = 0;
+  std::uint32_t seg_len = 0;
+
+  /// Program::validate_erew's message for it, in a program of `nvars`
+  /// variables.
+  std::string message(std::size_t nvars) const;
+};
+
+/// Receives the EREW pass's violations.
+class ErewSink {
+ public:
+  /// Called for each violation in the order the pass meets them: step by
+  /// step; within a step thread by thread (an instruction's reads x, y, c,
+  /// its segment, then its write); then the step's segment writes, by
+  /// segment in first-use order and writer in thread order.
+  virtual void violation(const ErewViolation& v) = 0;
+  /// Step `s` is checked: no later violation names it.
+  virtual void step_checked(std::size_t s) { (void)s; }
+
+ protected:
+  ~ErewSink() = default;
+};
+
+/// What one EREW pass found besides the violations themselves.
+struct ErewScan {
+  std::size_t violations = 0;
+  bool nondet = false;      ///< Some instruction is nondeterministic.
+  bool dyn_gather = false;  ///< Some instruction is a kGatherDyn.
+};
+
+/// The EREW rule, as one pass over `steps`: in every step each variable is
+/// read by at most one thread and written by at most one thread, every
+/// operand and gather_dyn segment lies inside nvars, and no thread writes
+/// inside a segment a gather_dyn of the same step reads.  A variable may
+/// be both read and written in one step (possibly by different threads):
+/// the split Compute/Copy execution orders all reads of a step before all
+/// writes, so pre-step values are always well-defined.  Each violation
+/// goes to `sink`, and the pass goes on; with no sink the first one throws
+/// std::invalid_argument with its message().
+ErewScan scan_erew(std::size_t nthreads, std::size_t nvars,
+                   const std::vector<Step>& steps, ErewSink* sink);
+
 /// Per-instruction operand provenance for one step.
 struct OperandWriters {
   std::uint32_t x = kInitial;
@@ -44,7 +111,12 @@ struct OperandWriters {
 
 class Program {
  public:
-  Program(std::size_t nthreads, std::size_t nvars, std::vector<Step> steps);
+  /// Runs the EREW pass once (scan_erew), reporting to `sink`.  With no
+  /// sink the first violation throws std::invalid_argument; a sink that
+  /// returns from its violations gets an std::invalid_argument once the
+  /// pass ends instead.
+  Program(std::size_t nthreads, std::size_t nvars, std::vector<Step> steps,
+          ErewSink* sink = nullptr);
 
   std::size_t nthreads() const noexcept { return nthreads_; }
   std::size_t nvars() const noexcept { return nvars_; }
@@ -71,13 +143,9 @@ class Program {
   /// Executors use this to budget the extra operand read per task.
   bool has_dyn_gather() const noexcept { return has_dyn_gather_; }
 
-  /// Validates the EREW discipline: in every step, each variable is read by
-  /// at most one thread and written by at most one thread.  A variable may
-  /// be both read and written in the same step (possibly by different
-  /// threads): the split Compute/Copy execution orders all reads of a step
-  /// before all writes, so pre-step values are always well-defined.  Throws
-  /// std::invalid_argument with a descriptive message on violation.  (Called
-  /// by the constructor; public for direct testing.)
+  /// Validates the EREW discipline (scan_erew): throws
+  /// std::invalid_argument with the first violation's message.  (The
+  /// constructor runs the same pass; public for direct testing.)
   static void validate_erew(std::size_t nthreads, std::size_t nvars,
                             const std::vector<Step>& steps);
 

@@ -133,6 +133,104 @@ TEST(Program, RejectsDegenerateShapes) {
   EXPECT_THROW(Program(1, 1, bad_width), std::invalid_argument);
 }
 
+// --- The one EREW pass -------------------------------------------------------
+
+/// validate_erew's message for a one-step program, or "" when it passes.
+std::string erew_message(std::size_t nthreads, std::size_t nvars,
+                         std::vector<Instr> instrs) {
+  try {
+    Program::validate_erew(nthreads, nvars, {Step{std::move(instrs)}});
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Erew, ValidateErewMessages) {
+  EXPECT_EQ(erew_message(2, 4, {Instr::nop()}),
+            "PRAM step 0: instruction count != nthreads");
+  EXPECT_EQ(erew_message(1, 4, {Instr::copy(1, 9)}),
+            "PRAM step 0: read variable v9 out of range (nvars=4)");
+  EXPECT_EQ(erew_message(1, 4, {Instr::constant(7, 1)}),
+            "PRAM step 0: written variable v7 out of range (nvars=4)");
+  EXPECT_EQ(erew_message(2, 4, {Instr::copy(1, 0), Instr::copy(2, 0)}),
+            "PRAM step 0: EREW violation, variable v0 read by more than one "
+            "thread");
+  EXPECT_EQ(erew_message(2, 4, {Instr::constant(3, 1), Instr::constant(3, 2)}),
+            "PRAM step 0: EREW violation, variable v3 written by more than "
+            "one thread");
+  EXPECT_EQ(erew_message(1, 8, {Instr::gather_dyn(0, 1, 2, 3, 4, 0)}),
+            "PRAM step 0: gather_dyn segment length is 0");
+  EXPECT_EQ(erew_message(1, 8, {Instr::gather_dyn(0, 1, 2, 3, 6, 4)}),
+            "PRAM step 0: gather_dyn segment [v6, v10) exceeds nvars=8");
+  EXPECT_EQ(erew_message(2, 8, {Instr::gather_dyn(0, 1, 2, 3, 4, 4),
+                                Instr::constant(5, 1)}),
+            "PRAM step 0: variable v5 written inside gather_dyn segment [v4, "
+            "v8)");
+  EXPECT_EQ(erew_message(2, 8, {Instr::gather_dyn(0, 1, 2, 3, 4, 4),
+                                Instr::copy(5, 1)}),
+            "PRAM step 0: EREW violation, variable v1 read by more than one "
+            "thread");  // the read comes before the step's segment check
+}
+
+/// Keeps everything the pass reports.
+struct Recorder final : ErewSink {
+  std::vector<ErewViolation> seen;
+  std::vector<std::size_t> checked;
+  void violation(const ErewViolation& v) override { seen.push_back(v); }
+  void step_checked(std::size_t s) override { checked.push_back(s); }
+};
+
+std::vector<Step> two_bad_steps() {
+  return {Step{{Instr::gather_dyn(2, 0, 1, 3, 4, 4),  // reads v0 v1 v3
+                Instr::add(2, 7, 0),                  // v2 again, v0 again
+                Instr::constant(5, 1)}},              // inside [v4, v8)
+          Step{{Instr::rand_below(1, 10), Instr::copy(3, 9), Instr::nop()}}};
+}
+
+TEST(Erew, SinkGetsEveryViolationInOrder) {
+  Recorder rec;
+  const ErewScan scan = scan_erew(3, 8, two_bad_steps(), &rec);
+  EXPECT_EQ(scan.violations, 4u);
+  EXPECT_TRUE(scan.nondet);
+  EXPECT_TRUE(scan.dyn_gather);
+  ASSERT_EQ(rec.seen.size(), 4u);
+  auto expect = [&](std::size_t i, ErewRule rule, std::size_t step,
+                    std::size_t thread, Operand operand, std::uint32_t var) {
+    EXPECT_EQ(rec.seen[i].rule, rule) << i;
+    EXPECT_EQ(rec.seen[i].step, step) << i;
+    EXPECT_EQ(rec.seen[i].thread, thread) << i;
+    EXPECT_EQ(rec.seen[i].operand, operand) << i;
+    EXPECT_EQ(rec.seen[i].var, var) << i;
+  };
+  expect(0, ErewRule::kShared, 0, 1, Operand::kY, 0);
+  expect(1, ErewRule::kShared, 0, 1, Operand::kZ, 2);
+  expect(2, ErewRule::kSegmentWrite, 0, 2, Operand::kZ, 5);
+  EXPECT_EQ(rec.seen[2].seg_base, 4u);
+  EXPECT_EQ(rec.seen[2].seg_len, 4u);
+  expect(3, ErewRule::kOutOfRange, 1, 1, Operand::kX, 9);
+  EXPECT_EQ(rec.checked, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(rec.seen[3].message(8),
+            "PRAM step 1: read variable v9 out of range (nvars=8)");
+}
+
+TEST(Erew, ConstructorReportsToTheSinkThenThrows) {
+  Recorder rec;
+  EXPECT_THROW(Program(3, 8, two_bad_steps(), &rec), std::invalid_argument);
+  EXPECT_EQ(rec.seen.size(), 4u);
+  // A valid program: one pass, every step checked once, nothing reported.
+  Recorder ok;
+  const Program p(2, 4,
+                  {Step{{Instr::constant(0, 1), Instr::coin(1, 0.5)}},
+                   Step{{Instr::add(2, 0, 1), Instr::nop()}}},
+                  &ok);
+  EXPECT_TRUE(ok.seen.empty());
+  EXPECT_EQ(ok.checked, (std::vector<std::size_t>{0, 1}));
+  EXPECT_TRUE(p.is_nondeterministic());
+  EXPECT_FALSE(p.has_dyn_gather());
+  EXPECT_EQ(p.writers(1, 0).x, 0u);
+}
+
 // --- Workloads are EREW-valid and have the expected shapes -----------------
 
 TEST(Workloads, ReductionShapeAndValidity) {
