@@ -156,10 +156,7 @@ class Parser {
     if (kw == "step") {
       advance();
       if (!expect(TokKind::kLBrace, "'{'")) return false;
-      // Steps of one program mostly have the same width.
-      const std::size_t width = p_.steps.empty() ? 0 : p_.steps.back().size();
       std::vector<LaneRec>& lanes = p_.steps.emplace_back();
-      lanes.reserve(width);
       while (!at(TokKind::kRBrace)) {
         if (!parse_lane(lanes.emplace_back())) return false;
       }
