@@ -37,6 +37,8 @@ std::string ErewViolation::message(std::size_t nvars) const {
 ErewScan scan_erew(std::size_t nthreads, std::size_t nvars,
                    const std::vector<Step>& steps, ErewSink* sink) {
   ErewScan scan;
+  bool nondet = false;  // kept out of `scan`, which report() reaches
+  bool dyn_gather = false;
   auto report = [&](const ErewViolation& v) {
     ++scan.violations;
     if (!sink) throw std::invalid_argument(v.message(nvars));
@@ -66,7 +68,7 @@ ErewScan scan_erew(std::size_t nthreads, std::size_t nvars,
     segs.clear();
     for (std::size_t t = 0; t < instrs.size(); ++t) {
       const Instr& ins = instrs[t];
-      scan.nondet |= is_nondeterministic(ins.op);
+      nondet |= is_nondeterministic(ins.op);
       const int r = reads_of(ins.op);
       if (r >= 1) use(reads, t, Operand::kX, ins.x);
       if (r >= 2) use(reads, t, Operand::kY, ins.y);
@@ -76,7 +78,7 @@ ErewScan scan_erew(std::size_t nthreads, std::size_t nvars,
         // they don't bump the read marks -- but the segment itself must be
         // well-formed, and no thread may WRITE into any declared segment
         // this step (checked once the step is scanned).
-        scan.dyn_gather = true;
+        dyn_gather = true;
         const auto seg = std::make_pair(dyn_seg_base(ins), dyn_seg_len(ins));
         if (seg.second == 0)
           report({ErewRule::kEmptySegment, s, t, Operand::kX, 0, seg.first,
@@ -101,6 +103,8 @@ ErewScan scan_erew(std::size_t nthreads, std::size_t nvars,
       }
     if (sink) sink->step_checked(s);
   }
+  scan.nondet = nondet;
+  scan.dyn_gather = dyn_gather;
   return scan;
 }
 
