@@ -50,13 +50,13 @@ struct Token {
   std::uint64_t value = 0;   ///< For kInt.
 };
 
-namespace lex_detail {
+namespace detail {
 
 /// What a byte starts.  Identifier, integer and punctuation bytes map to
 /// their TokKind; the rest to kSpace, kComment or kStray.  An identifier
 /// runs on over every byte whose class is at most kInt.
-inline constexpr std::uint8_t kIdent = static_cast<std::uint8_t>(TokKind::kIdent);
-inline constexpr std::uint8_t kInt = static_cast<std::uint8_t>(TokKind::kInt);
+inline constexpr auto kIdent = static_cast<std::uint8_t>(TokKind::kIdent);
+inline constexpr auto kInt = static_cast<std::uint8_t>(TokKind::kInt);
 inline constexpr std::uint8_t kSpace = 16;
 inline constexpr std::uint8_t kComment = 17;
 inline constexpr std::uint8_t kStray = 18;
@@ -84,7 +84,7 @@ inline std::uint8_t byte_class(char c) {
   return kByteClass[static_cast<unsigned char>(c)];
 }
 
-}  // namespace lex_detail
+}  // namespace detail
 
 class Lexer {
  public:
@@ -97,16 +97,23 @@ class Lexer {
   /// The next token; kEnd at the end of input and from a lexical error (a
   /// stray character, an integer over 64 bits, reported once) on.
   Token next() {
-    using namespace lex_detail;
+    using namespace detail;
+    if (failed_) return {TokKind::kEnd, pos_};
     const char* const s = src_.text.c_str();  // s[size] is NUL
     std::size_t p = pos_;
-    while (!failed_) {
+    for (;;) {
       const std::size_t start = p;
       const std::uint8_t cls = byte_class(s[p]);
       switch (cls) {
         case kSpace:
           ++p;
           continue;
+        case kComment: {
+          const void* nl = std::memchr(s + p, '\n', src_.text.size() - p);
+          p = nl ? static_cast<std::size_t>(static_cast<const char*>(nl) - s)
+                 : src_.text.size();
+          continue;
+        }
         case kIdent:
           while (byte_class(s[++p]) <= kInt) {}
           pos_ = p;
@@ -120,24 +127,15 @@ class Lexer {
           pos_ = p;
           return {TokKind::kInt, start, p - start, v};
         }
-        case kComment: {
-          const void* nl = std::memchr(s + p, '\n', src_.text.size() - p);
-          p = nl ? static_cast<std::size_t>(static_cast<const char*>(nl) - s)
-                 : src_.text.size();
-          continue;
-        }
-        case kStray:
-          if (p == src_.text.size()) break;
-          stray(start);
-          return {TokKind::kEnd, pos_};
+        case kStray:  // the NUL after the text, or a stray byte
+          pos_ = p;
+          if (p < src_.text.size()) stray(p);
+          return {TokKind::kEnd, p};
         default:  // punctuation
           pos_ = p + 1;
           return {static_cast<TokKind>(cls), start, 1};
       }
-      break;
     }
-    if (!failed_) pos_ = p;
-    return {TokKind::kEnd, pos_};
   }
 
   /// True once a lexical error has been reported.
