@@ -302,17 +302,13 @@ class Analyzer final : private pram::ErewSink {
     const std::string var = "variable v" + std::to_string(v.var);
     switch (v.rule) {
       case ErewRule::kShared:
-        if (v.operand == pram::Operand::kZ)
-          error(lane_of(v).z.at, "EREW violation: " + var +
-                                     " written by more than one thread in "
-                                     "this step");
-        else
-          error(operand_of(v).at, "EREW violation: " + var +
-                                      " read by more than one thread in "
-                                      "this step");
+        error(spelled_at(v),
+              "EREW violation: " + var +
+                  (v.operand == pram::Operand::kZ ? " written" : " read") +
+                  " by more than one thread in this step");
         return;
       case ErewRule::kSegmentWrite:
-        error(lane_of(v).z.at,
+        error(spelled_at(v),
               var + " written inside gather_dyn segment [v" +
                   std::to_string(v.seg_base) + ", v" +
                   std::to_string(std::uint64_t{v.seg_base} + v.seg_len) +
@@ -330,25 +326,21 @@ class Analyzer final : private pram::ErewSink {
     lanes_step_ = kNoStep;
   }
 
-  /// The record of the violating instruction.  Every instruction that
-  /// uses a variable has one: implicit nops use none.
-  const LaneRec& lane_of(const pram::ErewViolation& v) {
+  /// Where the violating operand is spelled.  Every instruction that uses
+  /// a variable has a record: implicit nops use none.
+  std::uint32_t spelled_at(const pram::ErewViolation& v) {
     if (lanes_step_ != v.step) {
       lane_at_.assign(static_cast<std::size_t>(procs_), nullptr);
       for (const LaneRec& lane : p_.steps[v.step])
         lane_at_[lane.lane] = &lane;
       lanes_step_ = v.step;
     }
-    return *lane_at_[v.thread];
-  }
-
-  const RefRec& operand_of(const pram::ErewViolation& v) {
-    const LaneRec& lane = lane_of(v);
+    const LaneRec& lane = *lane_at_[v.thread];
     switch (v.operand) {
-      case pram::Operand::kX: return lane.x;
-      case pram::Operand::kY: return lane.y;
-      case pram::Operand::kC: return lane.c;
-      default: return lane.z;
+      case pram::Operand::kX: return lane.x.at;
+      case pram::Operand::kY: return lane.y.at;
+      case pram::Operand::kC: return lane.c.at;
+      default: return lane.z.at;
     }
   }
 

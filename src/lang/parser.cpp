@@ -99,6 +99,7 @@ class Parser {
     return true;
   }
 
+  /// Out of line, so that expect() stays small enough to inline.
   [[gnu::noinline]] bool missing(const char* what) {
     return fail(std::string("expected ") + what + ", found " +
                 describe(cur_));
