@@ -1,6 +1,5 @@
 #include "lang/parser.h"
 
-#include <algorithm>
 #include <array>
 #include <limits>
 #include <string>
@@ -14,34 +13,19 @@ namespace apex::lang {
 std::optional<pram::OpCode> opcode_from_keyword(std::string_view kw) {
   using pram::OpCode;
   constexpr int kOps = static_cast<int>(OpCode::kGatherDyn) + 1;
-  // The opcodes sorted by their keyword's first byte: a lookup compares
-  // only the keywords that share kw's first byte, three at most.
-  struct Index {
-    std::array<std::string_view, kOps> name;
-    std::array<OpCode, kOps> op;
-    std::array<std::uint8_t, 257> first{};  ///< [byte, byte+1) in op/name
-  };
-  static const Index kIndex = [] {
-    Index x;
-    auto byte = [](OpCode op) {
-      return static_cast<unsigned char>(pram::opcode_name(op)[0]);
-    };
-    for (int i = 0; i < kOps; ++i) ++x.first[byte(static_cast<OpCode>(i)) + 1];
-    for (int b = 0; b < 256; ++b) x.first[b + 1] += x.first[b];
-    std::array<std::uint8_t, 256> next;
-    std::copy(x.first.begin(), x.first.end() - 1, next.begin());
+  // The keywords by first byte: a lookup compares three at most.
+  static const auto kByFirst = [] {
+    std::array<std::vector<std::pair<std::string_view, OpCode>>, 256> by;
     for (int i = 0; i < kOps; ++i) {
       const auto op = static_cast<OpCode>(i);
-      const int at = next[byte(op)]++;
-      x.op[at] = op;
-      x.name[at] = pram::opcode_name(op);
+      const std::string_view name = pram::opcode_name(op);
+      by[static_cast<unsigned char>(name[0])].emplace_back(name, op);
     }
-    return x;
+    return by;
   }();
   if (kw.empty()) return std::nullopt;
-  const auto b = static_cast<unsigned char>(kw[0]);
-  for (int i = kIndex.first[b]; i < kIndex.first[b + 1]; ++i)
-    if (kw == kIndex.name[i]) return kIndex.op[i];
+  for (const auto& [name, op] : kByFirst[static_cast<unsigned char>(kw[0])])
+    if (kw == name) return op;
   return std::nullopt;
 }
 
