@@ -112,9 +112,9 @@ struct OperandWriters {
 class Program {
  public:
   /// Runs the EREW pass once (scan_erew), reporting to `sink`.  With no
-  /// sink the first violation throws std::invalid_argument; a sink that
-  /// returns from its violations gets an std::invalid_argument once the
-  /// pass ends instead.
+  /// sink the first violation throws std::invalid_argument; with one, the
+  /// constructor throws std::invalid_argument once the pass has reported
+  /// every violation.
   Program(std::size_t nthreads, std::size_t nvars, std::vector<Step> steps,
           ErewSink* sink = nullptr);
 
