@@ -1,11 +1,11 @@
 // Semantic analysis + codegen: lane records -> validated pram::Program.
 //
 // One pass writes each lane's pram::Instr into the final steps.  The EREW
-// rule is not re-checked here: the analyzer hands Program's constructor an
-// ErewSink, the constructor's one EREW pass (pram::scan_erew) reports each
-// violation to it, and the analyzer locates it by the records' source
-// offsets, so violations surface as file:line:col diagnostics with a
-// caret instead of std::invalid_argument throws.  The mapping:
+// rule lives in pram::scan_erew: the analyzer hands Program's constructor
+// an ErewSink, the constructor's one EREW pass reports each violation to
+// it, and the analyzer locates it by the records' source offsets, so
+// violations surface as file:line:col diagnostics with a caret instead of
+// std::invalid_argument throws.  The mapping:
 //
 //   EREW pass rule                          diagnostic (anchored at)
 //   -----------------------------------    --------------------------------
