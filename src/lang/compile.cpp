@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <new>
+#include <stdexcept>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -39,10 +40,18 @@ class Analyzer final : private pram::ErewSink {
     // A legal layout can still be too large for this machine: the steps
     // hold processors × steps instructions, the EREW pass and Program's
     // tables one entry per variable.  Running out ends in a diagnostic.
+    // A step of more processors than a vector can hold (max_size()) throws
+    // length_error before allocating anything; it is the same diagnostic.
     std::vector<pram::Step> steps;
+    bool too_large = false;
     try {
       steps = build_steps();
     } catch (const std::bad_alloc&) {
+      too_large = true;
+    } catch (const std::length_error&) {
+      too_large = true;
+    }
+    if (too_large) {
       error(p_.procs_at, "cannot allocate the layout: " +
                              std::to_string(procs_) + " processors x " +
                              std::to_string(p_.steps.size()) + " steps");

@@ -68,6 +68,9 @@ TEST(DiagnosticsGolden, DeclarationSizesSumPast64Bits) {
 TEST(DiagnosticsGolden, VarsTotalPlusDeclarationPast64Bits) {
   check_case("vars_overflow");
 }
+TEST(DiagnosticsGolden, ProcsPastVectorMaxSize) {
+  check_case("procs_past_max_size");
+}
 
 }  // namespace
 }  // namespace apex::lang
