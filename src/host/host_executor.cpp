@@ -1,5 +1,6 @@
 #include "host/host_executor.h"
 
+#include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -22,14 +23,21 @@ std::size_t bin_cells(std::size_t nprocs) {
   return std::max<std::size_t>(4, kBeta * lg(nprocs));
 }
 
-/// Consecutive visits per live processor per turn of the sweep.  64 keeps
-/// one processor's record hot in L1 across the block while staying far
-/// inside a phase: even at alpha = 48 a tick spans ~alpha*lg(n) visits per
-/// processor.  Against a one-visit-per-turn sweep (4 vCPU, GCC 12.2,
-/// Release, equal work) it was faster in 15 of 15 rounds on spmv P=64 T=2
-/// (median 0.069 s vs 0.085 s), 11 of 12 on spmv P=128 T=4 and 5 of 5 on
-/// bfs P=128 T=4 (1.95 s vs 2.37 s).
+/// Consecutive visits per live processor per turn of the sweep, and the
+/// unit of the record copy: run_block copies a processor's record in once
+/// and writes it back once per block.  64 stays far inside a phase: even at
+/// alpha = 48 a tick spans ~alpha*lg(n) visits per processor.  Against a
+/// one-visit-per-turn sweep (4 vCPU, GCC 12.2, Release, equal work) it was
+/// faster in 15 of 15 rounds on spmv P=64 T=2 (median 0.069 s vs 0.085 s),
+/// 11 of 12 on spmv P=128 T=4 and 5 of 5 on bfs P=128 T=4 (1.95 s vs
+/// 2.37 s).
 constexpr std::size_t kBlockSteps = 64;
+
+/// Read-Clock samples s = 3 lg P slots.  checked() keeps every address
+/// 32-bit, so P < 2^32, lg P <= 32 and s <= 96: the two-pass sample loop
+/// holds the drawn slots in a buffer of this size.
+constexpr std::size_t kMaxClockSamples =
+    3 * std::numeric_limits<std::uint32_t>::digits;
 
 /// run_until_clean()'s attempt cap and per-retry seed offset.
 constexpr int kMaxAttempts = 4;
@@ -99,6 +107,7 @@ HostExecutor::HostExecutor(const pram::Program& program, HostExecConfig cfg)
       mem_(n_ + n_ * b_ + program.nvars() * cfg_.generations),
       done_(nthreads_),
       error_slot_(nthreads_) {
+  assert(clock_samples_ <= kMaxClockSamples);
   // --- virtual processors + slices ------------------------------------------
   procs_.resize(n_);
   apex::SeedTree seeds{cfg_.seed};
@@ -279,48 +288,77 @@ bool HostExecutor::eval(HostProc& p, std::size_t s, std::size_t i,
   return true;
 }
 
-[[gnu::flatten]] bool HostExecutor::visit(HostProc& vp) {
-  // The visit runs on a local copy of the record, written back once at the
-  // end.  Every call is flattened into visit (Rng::next/below are inline),
-  // so the copy's address never escapes and the RNG state and loop fields
-  // stay in registers across every draw and probe.
+[[gnu::flatten]] bool HostExecutor::run_block(HostProc& vp) {
+  // The block runs on one local copy of the record, written back once at
+  // the end.  Every call is flattened into run_block (Rng::next/below are
+  // inline), so the copy's address never escapes and the RNG state and
+  // loop fields stay in registers across every draw and probe of the
+  // block's visits.
   HostProc p = vp;
-  if (p.iter == 0) {
-    p.iter = stride_ - 1;
-    // Update-Clock then Read-Clock (sampled estimate, monotone clamp).
-    // Relaxed on every clock word: each slot is an independent counter and
-    // the construction already tolerates (a) arbitrarily stale reads — a
-    // legal adversary can hold this processor between any read and its next
-    // access, which is observationally identical to reading an old value —
-    // and (b) lost updates from racing read-increment-write pairs, which
-    // occur under seq_cst too (the race is at protocol level, not memory
-    // level).  No other word's value is ever inferred from a clock read, so
-    // no release/acquire pairing is being bypassed.
-    const std::size_t slot = static_cast<std::size_t>(p.rng.below(n_));
-    const HostCell c = mem_.read_unchecked(clock_base_ + slot, kLdClock);
-    mem_.write_unchecked(clock_base_ + slot, c.value + 1, 0, kStClock);
-    std::uint64_t sampled = 0;
-    for (std::size_t k = 0; k < clock_samples_; ++k)
-      sampled +=
-          mem_.read_unchecked(clock_base_ + p.rng.below(n_), kLdClock).value;
-    // The update's read and write, the samples, and the estimate.
-    p.clock_work += clock_samples_ + 3;
-    const double est = static_cast<double>(sampled) *
-                       (static_cast<double>(n_) /
-                        static_cast<double>(clock_samples_));
-    p.clamp = std::max(p.clamp, static_cast<std::uint64_t>(est) / clock_tau_);
-    p.tick = p.clamp;
-    p.done = p.tick >= end_tick_;
-  } else {
-    --p.iter;
-  }
-  if (!p.done) {
+  // The task of the coming visit when the last one drew it ahead (below).
+  bool drawn = false;
+  std::size_t i = 0;
+  for (std::size_t b = 0; b < kBlockSteps; ++b) {
+    if (p.iter == 0) {
+      p.iter = stride_ - 1;
+      // Update-Clock then Read-Clock (sampled estimate, monotone clamp).
+      // Relaxed on every clock word: each slot is an independent counter
+      // and the construction already tolerates (a) arbitrarily stale reads
+      // — a legal adversary can hold this processor between any read and
+      // its next access, which is observationally identical to reading an
+      // old value — and (b) lost updates from racing read-increment-write
+      // pairs, which occur under seq_cst too (the race is at protocol
+      // level, not memory level).  No other word's value is ever inferred
+      // from a clock read, so no release/acquire pairing is being bypassed.
+      const std::size_t slot = static_cast<std::size_t>(p.rng.below(n_));
+      const HostCell c = mem_.read_unchecked(clock_base_ + slot, kLdClock);
+      mem_.write_unchecked(clock_base_ + slot, c.value + 1, 0, kStClock);
+      // Two passes over the samples: draw every slot (the same draws in
+      // the same order) and prefetch it, then sum the loads, which now
+      // overlap instead of each waiting for the one before.
+      std::uint32_t at[kMaxClockSamples];
+      for (std::size_t k = 0; k < clock_samples_; ++k) {
+        at[k] = static_cast<std::uint32_t>(clock_base_ + p.rng.below(n_));
+        mem_.prefetch(at[k]);
+      }
+      std::uint64_t sampled = 0;
+      for (std::size_t k = 0; k < clock_samples_; ++k)
+        sampled += mem_.read_unchecked(at[k], kLdClock).value;
+      // The update's read and write, the samples, and the estimate.
+      p.clock_work += clock_samples_ + 3;
+      const double est = static_cast<double>(sampled) *
+                         (static_cast<double>(n_) /
+                          static_cast<double>(clock_samples_));
+      p.clamp =
+          std::max(p.clamp, static_cast<std::uint64_t>(est) / clock_tau_);
+      p.tick = p.clamp;
+      p.done = p.tick >= end_tick_;
+      if (p.done) break;
+    } else {
+      --p.iter;
+    }
     const std::size_t s = static_cast<std::size_t>(p.tick >> 1);
-    const std::size_t i = static_cast<std::size_t>(p.rng.below(n_));
-    if ((p.tick & 1) == 0)
+    const bool compute = (p.tick & 1) == 0;
+    if (!drawn) i = static_cast<std::size_t>(p.rng.below(n_));
+    if (compute)
       compute_visit(p, s, i, step_stamp_[s]);
     else
       copy_visit(p, s, i, step_stamp_[s]);
+    // Draw the next visit's task now when that visit runs no clock update
+    // (iter != 0) and belongs to this block.  Its tick, hence its step and
+    // subphase, is this visit's, and its task draw is the next draw of this
+    // processor's stream either way, so draws and operations keep their
+    // order.  The cell it reads first loads while this loop turns round.
+    drawn = p.iter != 0 && b + 1 < kBlockSteps;
+    if (drawn) {
+      i = static_cast<std::size_t>(p.rng.below(n_));
+      if (compute) {
+        mem_.prefetch(bins_base_ + i * b_ + b_ - 1);
+      } else {
+        const OpPlan& pl = plans_[s * n_ + i];
+        if (pl.writes) mem_.prefetch(pl.z_addr);
+      }
+    }
   }
   vp = p;
   return p.done;
@@ -426,18 +464,14 @@ void HostExecutor::copy_visit(HostProc& p, std::size_t s, std::size_t i,
 
 void HostExecutor::worker_body(std::size_t tid) {
   // The one visit order: a cyclic sweep over the slice that gives each live
-  // processor kBlockSteps consecutive visits per turn.
+  // processor one block of kBlockSteps consecutive visits per turn.
   const std::size_t lo = slice_[tid], hi = slice_[tid + 1];
   std::size_t alive = hi - lo;
   while (alive > 0 && !abort_.load(std::memory_order_relaxed)) {
     for (std::size_t p = lo; p < hi; ++p) {
       HostProc& vp = procs_[p];
       if (vp.done) continue;
-      for (std::size_t b = 0; b < kBlockSteps; ++b)
-        if (visit(vp)) {
-          --alive;
-          break;
-        }
+      if (run_block(vp)) --alive;
       if (abort_.load(std::memory_order_relaxed)) break;
     }
   }
@@ -531,8 +565,8 @@ HostExecResult HostExecutor::run() {
   if (end_tick_ == 0) {
     // Zero-step program: every processor is already past the final tick.
     // The old executor's loop checked `tick >= end_tick` before its first
-    // step; the virtualized visit() only re-checks at clock updates, so a
-    // run would index the empty per-step plan tables — exit up front.
+    // step; run_block() only re-checks at clock updates, so a run would
+    // index the empty per-step plan tables — exit up front.
     HostExecResult out;
     out.completed = true;
     out.memory.assign(prog_->nvars(), 0);

@@ -14,8 +14,12 @@
 // atomics, owned by exactly one worker thread), and each of T OS threads
 // walks its contiguous slice of the P records in one sweep — a block of
 // consecutive visits per live processor, then the next — executing ONE
-// protocol step per visit.  Slices hold equal processor counts or equal
-// weight (Interleave).  The substrate provides timing, the protocol provides
+// protocol step per visit.  A block runs on one local copy of the record,
+// and its visits are pipelined without reordering anything: Read-Clock
+// draws its sample slots in one pass and loads them in a second, and a
+// visit with no clock update ahead draws the next visit's task early and
+// prefetches the cell that visit reads first.  Slices hold equal processor
+// counts or equal weight (Interleave).  The substrate provides timing, the protocol provides
 // correctness: from the protocol's viewpoint a T-thread host is simply an
 // adversary that stalls every processor of a slice in lockstep — a LEGAL
 // oblivious adversary (the OS, the sweep and the slicing never see the
@@ -232,11 +236,12 @@ class HostExecutor {
 
   void worker(std::size_t tid);
   void worker_body(std::size_t tid);
-  /// Execute one protocol step for this processor; returns true when the
-  /// processor observed the final tick (it must not be visited again).
-  bool visit(HostProc& vp);
-  /// The Compute- and Copy-subphase halves of visit() for task i of step s,
-  /// on visit()'s local copy of the processor.
+  /// Run one block of up to kBlockSteps visits (one protocol step each) on a
+  /// local copy of the processor's record; returns true when the processor
+  /// observed the final tick (it must not be visited again).
+  bool run_block(HostProc& vp);
+  /// The Compute- and Copy-subphase halves of one visit for task i of step
+  /// s, on run_block()'s local copy of the processor.
   void compute_visit(HostProc& p, std::size_t s, std::size_t i,
                      std::uint32_t stamp);
   void copy_visit(HostProc& p, std::size_t s, std::size_t i,

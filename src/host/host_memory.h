@@ -87,6 +87,15 @@ class HostMemory {
     cells_[addr].store(Pack::pack(value, stamp), mo);
   }
 
+  // A hint that addr will be read soon: no access, no order, no effect on
+  // any value.  The executor issues it a few independent loads ahead so
+  // their cache misses overlap.  Same address contract as the unchecked
+  // accessors.
+  void prefetch(std::size_t addr) const {
+    assert(addr < cells_.size());
+    __builtin_prefetch(&cells_[addr]);
+  }
+
  private:
   // deque-like stability not needed; atomics are not movable, so the vector
   // is sized once in the constructor and never resized.
