@@ -977,8 +977,10 @@ int cmd_perfbench(const Args& a) {
   // PR; "host_pre_fast_exits": the graph rows of the host executor before
   // its full-bin and committed-slot exits; "pre_flat_exec": the workload
   // rows of the exec driver that awaited its sub-procedures as nested
-  // SubTasks).  Rewriting the file must not destroy them: lift each block
-  // out of any existing file and splice it back into the fresh output.
+  // SubTasks; "host_pre_pipeline": the graph rows of the host executor
+  // before its visit loop was pipelined).  Rewriting the file must not
+  // destroy them: lift each block out of any existing file and splice it
+  // back into the fresh output.
   std::vector<std::string> kept_blocks;
   {
     std::ifstream prev(out_path);
@@ -987,7 +989,7 @@ int cmd_perfbench(const Args& a) {
                        std::istreambuf_iterator<char>());
       for (const char* keyname :
            {"pre_refactor", "host_pre_virtualization", "pre_observer_batching",
-            "host_pre_fast_exits", "pre_flat_exec"}) {
+            "host_pre_fast_exits", "pre_flat_exec", "host_pre_pipeline"}) {
         const auto key = text.find('"' + std::string(keyname) + '"');
         const auto open = text.find('{', key);
         if (key == std::string::npos || open == std::string::npos) continue;
