@@ -19,14 +19,13 @@
 // and says so in its description.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "exec/executor.h"
 #include "pram/workloads.h"
+#include "tests/golden_lines.h"
 #include "util/rng.h"
 
 namespace apex::exec {
@@ -136,22 +135,8 @@ std::vector<std::string> actual_lines() {
 }
 
 TEST(ExecGolden, ResultsMatchTheCommittedLines) {
-  const std::vector<std::string> actual = actual_lines();
-  if (std::getenv("APEX_UPDATE_EXEC_GOLDENS") != nullptr) {
-    std::ofstream out(kGoldenPath);
-    for (const std::string& line : actual) out << line << '\n';
-    ASSERT_TRUE(out.good()) << "cannot write " << kGoldenPath;
-    GTEST_SKIP() << "rewrote " << kGoldenPath;
-  }
-  std::ifstream in(kGoldenPath);
-  ASSERT_TRUE(in.good()) << "cannot open " << kGoldenPath;
-  std::vector<std::string> expected;
-  for (std::string line; std::getline(in, line);) expected.push_back(line);
-  EXPECT_EQ(actual.size(), expected.size());
-  for (std::size_t k = 0; k < actual.size(); ++k) {
-    const std::string& want = k < expected.size() ? expected[k] : "";
-    EXPECT_EQ(actual[k], want) << "actual: " << actual[k];
-  }
+  apex::test_support::expect_golden_lines(actual_lines(), kGoldenPath,
+                                          "APEX_UPDATE_EXEC_GOLDENS");
 }
 
 }  // namespace
