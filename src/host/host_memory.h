@@ -88,7 +88,7 @@ class HostMemory {
   }
 
   // A hint that addr will be read soon: no access, no order, no effect on
-  // any value.  The executor issues it a few independent loads ahead so
+  // any value.  The executor calls it a few independent loads ahead so
   // their cache misses overlap.  Same address contract as the unchecked
   // accessors.
   void prefetch(std::size_t addr) const {
