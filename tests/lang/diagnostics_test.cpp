@@ -59,6 +59,9 @@ TEST(DiagnosticsGolden, SemanticErrorsBatchOrder) {
   check_case("batch_order");
 }
 TEST(DiagnosticsGolden, ErewErrorsBatchOrder) { check_case("erew_order"); }
+TEST(DiagnosticsGolden, ErewLocatedInALaterStep) {
+  check_case("erew_relocate");
+}
 TEST(DiagnosticsGolden, HugeLayoutWithALaneError) {
   check_case("huge_layout");
 }
