@@ -82,30 +82,34 @@ struct Executor::Impl {
       co_await ctx.local();
       co_return agreement::TaskResult{0};
     }
-    const auto& w = prog->writers(s, i);
+    // Each operand's expected writer comes from the sparse index: f runs
+    // only in the cycles that find cell 0 empty.
     const int r = pram::reads_of(ins.op);
     sim::Word xv = 0, yv = 0, cv = 0;
     if (r >= 1) {
-      const auto v = co_await read_operand(ctx, ins.x, w.x);
+      const auto v = co_await read_operand(
+          ctx, ins.x, prog->last_writer_before(s, ins.x));
       if (!v) co_return agreement::TaskResult{};
       xv = *v;
     }
     if (r >= 2) {
-      const auto v = co_await read_operand(ctx, ins.y, w.y);
+      const auto v = co_await read_operand(
+          ctx, ins.y, prog->last_writer_before(s, ins.y));
       if (!v) co_return agreement::TaskResult{};
       yv = *v;
     }
     if (r >= 3) {
-      const auto v = co_await read_operand(ctx, ins.c, w.c);
+      const auto v = co_await read_operand(
+          ctx, ins.c, prog->last_writer_before(s, ins.c));
       if (!v) co_return agreement::TaskResult{};
       cv = *v;
     }
     if (ins.op == pram::OpCode::kGatherDyn) {
       // Data-dependent addressing: index, base offset and bound came from
       // the x/y/c operand reads above and pick the target variable at run
-      // time.  The writer table answers "who last wrote it before step s"
-      // for EVERY variable, so the timestamp discipline is unchanged — only
-      // the table lookup moves to run time.  The resolved read becomes y.
+      // time.  The writer index answers "who last wrote it before step s"
+      // for EVERY variable, so the timestamp discipline is unchanged, as
+      // for the static operands above.  The resolved read becomes y.
       const std::uint32_t target =
           pram::gather_dyn_target(ins, xv + yv, cv);
       yv = 0;

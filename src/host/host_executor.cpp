@@ -135,40 +135,37 @@ HostExecutor::HostExecutor(const pram::Program& program, HostExecConfig cfg)
   }
 
   // --- per-instruction operand plans ----------------------------------------
-  // Hoist every address computation and writer-table lookup out of the hot
-  // loop: one pass at construction proves all addresses in range (so the
-  // loop may use the unchecked accessors) and resolves operand slots +
-  // expected stamps per (step, instruction).
+  // Hoist every address computation and writer lookup out of the hot loop:
+  // one walk at construction proves all addresses in range (so the loop
+  // may use the unchecked accessors) and resolves operand slots + expected
+  // stamps per (step, instruction).
   const std::size_t nsteps = prog_->nsteps();
   plans_.resize(nsteps * n_);
   step_stamp_.resize(nsteps);
-  for (std::size_t s = 0; s < nsteps; ++s) {
+  for (std::size_t s = 0; s < nsteps; ++s)
     step_stamp_[s] = static_cast<std::uint32_t>(
         pram::stamp_of_step(static_cast<std::uint32_t>(s)));
-    for (std::size_t i = 0; i < n_; ++i) {
-      const pram::Instr& ins = prog_->step(s).instrs[i];
-      OpPlan& pl = plans_[s * n_ + i];
-      pl.op = ins.op;
-      pl.nreads = static_cast<std::uint8_t>(pram::reads_of(ins.op));
-      pl.writes = pram::writes_dest(ins.op);
-      pl.ins = &ins;
-      const auto& w = prog_->writers(s, i);
-      if (pl.nreads >= 1) {
-        pl.x_want = static_cast<std::uint32_t>(pram::stamp_of_writer(w.x));
-        pl.x_addr = static_cast<std::uint32_t>(var_addr(ins.x, pl.x_want));
-      }
-      if (pl.nreads >= 2) {
-        pl.y_want = static_cast<std::uint32_t>(pram::stamp_of_writer(w.y));
-        pl.y_addr = static_cast<std::uint32_t>(var_addr(ins.y, pl.y_want));
-      }
-      if (pl.nreads >= 3) {
-        pl.c_want = static_cast<std::uint32_t>(pram::stamp_of_writer(w.c));
-        pl.c_addr = static_cast<std::uint32_t>(var_addr(ins.c, pl.c_want));
-      }
-      if (pl.writes)
-        pl.z_addr = static_cast<std::uint32_t>(var_addr(ins.z, step_stamp_[s]));
+  prog_->walk_writers([&](std::size_t s, std::size_t i,
+                          const pram::Instr& ins,
+                          const pram::OperandWriters& w) {
+    OpPlan& pl = plans_[s * n_ + i];
+    pl.op = ins.op;
+    const int nreads = pram::reads_of(ins.op);
+    if (nreads >= 1) {
+      pl.x_want = static_cast<std::uint32_t>(pram::stamp_of_writer(w.x));
+      pl.x_addr = static_cast<std::uint32_t>(var_addr(ins.x, pl.x_want));
     }
-  }
+    if (nreads >= 2) {
+      pl.y_want = static_cast<std::uint32_t>(pram::stamp_of_writer(w.y));
+      pl.y_addr = static_cast<std::uint32_t>(var_addr(ins.y, pl.y_want));
+    }
+    if (nreads >= 3) {
+      pl.c_want = static_cast<std::uint32_t>(pram::stamp_of_writer(w.c));
+      pl.c_addr = static_cast<std::uint32_t>(var_addr(ins.c, pl.c_want));
+    }
+    if (pram::writes_dest(ins.op))
+      pl.z_addr = static_cast<std::uint32_t>(var_addr(ins.z, step_stamp_[s]));
+  });
 }
 
 void HostExecutor::record_error(std::size_t tid, const char* what) {
@@ -228,13 +225,14 @@ bool HostExecutor::eval(HostProc& p, std::size_t s, std::size_t i,
     out = 0;
     return true;
   }
+  const int nreads = pram::reads_of(pl.op);
   std::uint64_t xv = 0, yv = 0, cv = 0;
   // Operand reads accept only the exact expected stamp; a miss is a normal
   // retry (the writer's commit has not landed yet).  Acquire load: pairs
   // with the commit's release store, so an ACCEPTED operand's value is the
   // value that commit published — the same happens-before edge seq_cst
   // gave, at plain-load cost on x86/ARM ldar.
-  if (pl.nreads >= 1) {
+  if (nreads >= 1) {
     const HostCell c = mem_.read_unchecked(pl.x_addr, kLd);
     p.compute_work += 1;
     if (c.stamp != pl.x_want) {
@@ -243,7 +241,7 @@ bool HostExecutor::eval(HostProc& p, std::size_t s, std::size_t i,
     }
     xv = c.value;
   }
-  if (pl.nreads >= 2) {
+  if (nreads >= 2) {
     const HostCell c = mem_.read_unchecked(pl.y_addr, kLd);
     p.compute_work += 1;
     if (c.stamp != pl.y_want) {
@@ -252,7 +250,7 @@ bool HostExecutor::eval(HostProc& p, std::size_t s, std::size_t i,
     }
     yv = c.value;
   }
-  if (pl.nreads >= 3) {
+  if (nreads >= 3) {
     const HostCell c = mem_.read_unchecked(pl.c_addr, kLd);
     p.compute_work += 1;
     if (c.stamp != pl.c_want) {
@@ -261,6 +259,7 @@ bool HostExecutor::eval(HostProc& p, std::size_t s, std::size_t i,
     }
     cv = c.value;
   }
+  const pram::Instr& ins = prog_->step(s).instrs[i];
   if (pl.op == pram::OpCode::kGatherDyn) {
     // Data-dependent addressing: index, base offset and bound arrived
     // through the x/y/c operand reads above; the static segment caps the
@@ -268,7 +267,7 @@ bool HostExecutor::eval(HostProc& p, std::size_t s, std::size_t i,
     // over that variable's write steps — graph-scale programs cannot afford
     // a dense per-step row) answers the stamp question exactly as for a
     // static operand.  The resolved read becomes y; out of range reads 0.
-    const std::uint32_t target = pram::gather_dyn_target(*pl.ins, xv + yv, cv);
+    const std::uint32_t target = pram::gather_dyn_target(ins, xv + yv, cv);
     yv = 0;
     if (target != pram::kGatherOutOfRange) {
       const std::uint32_t want = static_cast<std::uint32_t>(
@@ -284,7 +283,7 @@ bool HostExecutor::eval(HostProc& p, std::size_t s, std::size_t i,
     }
   }
   p.compute_work += 1;  // the basic computation / random draw
-  out = pram::eval_instr(*pl.ins, xv, yv, cv, p.rng);
+  out = pram::eval_instr(ins, xv, yv, cv, p.rng);
   return true;
 }
 
@@ -356,7 +355,7 @@ bool HostExecutor::eval(HostProc& p, std::size_t s, std::size_t i,
         mem_.prefetch(bins_base_ + i * b_ + b_ - 1);
       } else {
         const OpPlan& pl = plans_[s * n_ + i];
-        if (pl.writes) mem_.prefetch(pl.z_addr);
+        if (pram::writes_dest(pl.op)) mem_.prefetch(pl.z_addr);
       }
     }
   }
@@ -417,7 +416,7 @@ void HostExecutor::copy_visit(HostProc& p, std::size_t s, std::size_t i,
   // z_i's generation slot.
   p.copy_work += 1;  // the random task choice
   const OpPlan& pl = plans_[s * n_ + i];
-  if (!pl.writes) return;
+  if (!pram::writes_dest(pl.op)) return;
   // Committed-slot exit: a slot stamped with this step already holds the
   // step's unique agreed value (Theorem 1), and a newer stamp must not be
   // regressed — the guard below would rewrite the same word or nothing.

@@ -222,17 +222,18 @@ class HostExecutor {
   };
 
   /// Precomputed per-(step, instruction) operand plan: every address and
-  /// expected stamp the hot loop needs, resolved once at construction so a
-  /// visit performs no multiplies, no writer-table walks, no bounds checks.
+  /// expected stamp a visit reads, resolved once at construction from
+  /// Program::walk_writers, so a visit performs no multiplies, no writer
+  /// lookups, no bounds checks.  Nothing else: the operand count and the
+  /// write test follow from `op`, and the evaluation path alone reads the
+  /// instruction itself, from the program.  32 bytes, two plans a line.
   struct OpPlan {
     pram::OpCode op;
-    std::uint8_t nreads;       ///< reads_of(op).
-    bool writes;               ///< writes_dest(op).
     std::uint32_t x_addr, y_addr, c_addr;  ///< Operand generation slots.
     std::uint32_t x_want, y_want, c_want;  ///< Expected operand stamps.
     std::uint32_t z_addr;      ///< Commit slot (writes only).
-    const pram::Instr* ins;    ///< For eval_instr and gather_dyn's segment.
   };
+  static_assert(sizeof(OpPlan) == 32);
 
   void worker(std::size_t tid);
   void worker_body(std::size_t tid);

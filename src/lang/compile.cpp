@@ -259,6 +259,8 @@ class Analyzer final : private pram::ErewSink {
         }
         if (lower(lane, steps[s].instrs[lane.lane])) placed[lane.lane] = true;
       }
+      // Lowered: an EREW violation's location is parsed again (spelled_at).
+      std::vector<LaneRec>().swap(p_.steps[s]);
     }
     return steps;
   }
@@ -329,19 +331,15 @@ class Analyzer final : private pram::ErewSink {
     }
   }
 
-  /// Frees the step's records once the pass is past it.
-  void step_checked(std::size_t s) override {
-    std::vector<LaneRec>().swap(p_.steps[s]);
-    lanes_step_ = kNoStep;
-  }
-
   /// Where the violating operand is spelled.  Every instruction that uses
-  /// a variable has a record: implicit nops use none.
+  /// a variable has a record: implicit nops use none.  build_steps freed
+  /// the records, so the step is parsed again; violations arrive in step
+  /// order, so each violated step is parsed once.
   std::uint32_t spelled_at(const pram::ErewViolation& v) {
     if (lanes_step_ != v.step) {
+      lanes_ = parse_step(src_, p_.step_at[v.step]);
       lane_at_.assign(static_cast<std::size_t>(procs_), nullptr);
-      for (const LaneRec& lane : p_.steps[v.step])
-        lane_at_[lane.lane] = &lane;
+      for (const LaneRec& lane : lanes_) lane_at_[lane.lane] = &lane;
       lanes_step_ = v.step;
     }
     const LaneRec& lane = *lane_at_[v.thread];
@@ -364,8 +362,9 @@ class Analyzer final : private pram::ErewSink {
   std::unordered_map<std::string_view, SegInfo> segs_;
   std::vector<const SegInfo*> seg_of_use_;  ///< [ParsedProgram::seg_uses]
   static constexpr std::size_t kNoStep = SIZE_MAX;
-  std::size_t lanes_step_ = kNoStep;        ///< The step lane_at_ maps.
-  std::vector<const LaneRec*> lane_at_;     ///< [thread], that step
+  std::size_t lanes_step_ = kNoStep;        ///< The step lanes_ holds.
+  std::vector<LaneRec> lanes_;              ///< That step, parsed again.
+  std::vector<const LaneRec*> lane_at_;     ///< [thread] into lanes_
 };
 
 }  // namespace

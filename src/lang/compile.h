@@ -5,7 +5,9 @@
 // an ErewSink, the constructor's one EREW pass reports each violation to
 // it, and the analyzer locates it by the records' source offsets, so
 // violations surface as file:line:col diagnostics with a caret instead of
-// std::invalid_argument throws.  The mapping:
+// std::invalid_argument throws.  Each step's records are freed once it is
+// lowered, so a violated step is parsed again (lang::parse_step) to
+// locate its violations.  The mapping:
 //
 //   EREW pass rule                          diagnostic (anchored at)
 //   -----------------------------------    --------------------------------

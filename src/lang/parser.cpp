@@ -33,8 +33,10 @@ namespace {
 
 class Parser {
  public:
-  Parser(const SourceFile& src, std::vector<Diagnostic>& diags)
-      : src_(src), diags_(diags), lex_(src, diags), cur_(lex_.next()) {}
+  /// Parses from byte `from` of `src`.
+  Parser(const SourceFile& src, std::vector<Diagnostic>& diags,
+         std::size_t from = 0)
+      : src_(src), diags_(diags), lex_(src, diags, from), cur_(lex_.next()) {}
 
   std::optional<ParsedProgram> run() {
     if (!at(TokKind::kIdent) || lex_.text(cur_) != "pram") {
@@ -48,6 +50,15 @@ class Parser {
       if (!parse_item()) return std::nullopt;
     if (lex_.failed()) return std::nullopt;
     return std::move(p_);
+  }
+
+  /// `'{' lane* '}'`, appending each lane to `lanes`.
+  bool parse_lanes(std::vector<LaneRec>& lanes) {
+    if (!expect(TokKind::kLBrace, "'{'")) return false;
+    while (!at(TokKind::kRBrace))
+      if (!parse_lane(lanes.emplace_back())) return false;
+    advance();  // '}'
+    return true;
   }
 
  private:
@@ -140,13 +151,8 @@ class Parser {
     }
     if (kw == "step") {
       advance();
-      if (!expect(TokKind::kLBrace, "'{'")) return false;
-      std::vector<LaneRec>& lanes = p_.steps.emplace_back();
-      while (!at(TokKind::kRBrace)) {
-        if (!parse_lane(lanes.emplace_back())) return false;
-      }
-      advance();  // '}'
-      return true;
+      p_.step_at.push_back(static_cast<std::uint32_t>(cur_.offset));
+      return parse_lanes(p_.steps.emplace_back());
     }
     return fail("expected a declaration or 'step', found " + describe(cur_));
   }
@@ -242,6 +248,13 @@ std::optional<ParsedProgram> parse(const SourceFile& src,
     return std::nullopt;
   }
   return Parser(src, diags).run();
+}
+
+std::vector<LaneRec> parse_step(const SourceFile& src, std::uint32_t at) {
+  std::vector<Diagnostic> none;  // the file parsed cleanly once
+  std::vector<LaneRec> lanes;
+  Parser(src, none, at).parse_lanes(lanes);
+  return lanes;
 }
 
 }  // namespace apex::lang

@@ -91,7 +91,10 @@ struct ParsedProgram {
   /// Where each distinct segment name a gather_dyn names is first spelled,
   /// so the compiler resolves each once.
   std::vector<std::uint32_t> seg_uses;
-  std::vector<std::vector<LaneRec>> steps;  ///< Each step's lanes, in order.
+  /// Each step's lanes, in order.  The compiler frees a step's records
+  /// once it has lowered them, and reads them again with parse_step.
+  std::vector<std::vector<LaneRec>> steps;
+  std::vector<std::uint32_t> step_at;  ///< Where each step's '{' is.
 };
 
 /// The opcode a keyword spells (exactly pram::opcode_name), if any.
@@ -116,5 +119,10 @@ inline std::optional<std::uint64_t> raw_ref_id(std::string_view name) {
 /// first syntax error (semantic errors are batched later by the compiler).
 std::optional<ParsedProgram> parse(const SourceFile& src,
                                    std::vector<Diagnostic>& diags);
+
+/// The lanes of the step whose '{' is at `at` (ParsedProgram::step_at) in
+/// a file parse() accepted: the records parse() made for that step, but
+/// for a gather_dyn's imm, which is 0 here.
+std::vector<LaneRec> parse_step(const SourceFile& src, std::uint32_t at);
 
 }  // namespace apex::lang

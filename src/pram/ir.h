@@ -10,15 +10,16 @@
 //
 // Operand addressing is static (variable indices are fixed per
 // instruction), which is what lets the execution scheme precompute, for
-// every read, the step that last wrote the operand (the "writer table") and
-// thus distinguish current values from tardy clobbers by timestamp.
+// every read, the step that last wrote the operand (the "writer index",
+// program.h) and thus distinguish current values from tardy clobbers by
+// timestamp.
 //
 // One extension goes beyond the paper's static model: kGatherDyn, a read
 // whose target variable is COMPUTED at run time from variables' values (an
 // index plus an offset, capped by a bound: the shape a CSR row-offset walk
-// needs), restricted to a statically declared segment.  The writer table
-// still covers it because the table records the last writer of EVERY
-// variable before every step — only the choice of which entry to consult
+// needs), restricted to a statically declared segment.  The writer index
+// still covers it because it answers the last writer of EVERY variable
+// before every step — only the choice of which variable to ask about
 // moves to run time.  See the op's comment below for the exact semantics
 // and the EREW discipline it obeys.
 #pragma once
@@ -60,7 +61,7 @@ enum class OpCode : std::uint8_t {
   /// base-offset variable, `c` the bound variable (all three are ordinary
   /// exclusive-read operands); imm packs the STATIC segment
   /// (seg_len << 32 | seg_base) that confines every possible computed
-  /// read, so writer tables and audits stay precomputable.  The segment
+  /// read, so the writer index and audits stay precomputable.  The segment
   /// must be non-empty and lie inside nvars.  EREW discipline: reads
   /// inside a declared segment are CREW — deliberately relaxed, because
   /// segment cells are frozen data loaded before the kernel runs and a
@@ -73,7 +74,7 @@ enum class OpCode : std::uint8_t {
 const char* opcode_name(OpCode op) noexcept;
 
 // The predicates below are inline: every per-instruction pass (lowering,
-// the EREW pass, writer tables, the interpreter, both executors) asks them
+// the EREW pass, the writer index, the interpreter, both executors) asks them
 // once or more per instruction.
 
 /// True for operations whose result depends on the executing processor's

@@ -125,48 +125,27 @@ Program::Program(std::size_t nthreads, std::size_t nvars,
                                 " EREW violations");
   nondet_ = scan.nondet;
   has_dyn_gather_ = scan.dyn_gather;
-  build_writer_tables();
+  build_write_index();
 }
 
-void Program::build_writer_tables() {
-  // Pass 1: per-variable write counts -> CSR offsets for the sparse
-  // last-writer index.  (A dense [step][var] snapshot table would be
-  // O(nsteps * nvars) -- gigabytes at graph scale.)
+void Program::build_write_index() {
+  // Count each variable's writes, then sum the counts forward: each
+  // variable's offset is the end of its slice.  A backward walk over the
+  // steps then fills every slice from its end, so each one comes out
+  // sorted ascending and each offset ends at its slice's start.  (A dense
+  // [step][var] snapshot table would be O(nsteps * nvars): gigabytes at
+  // graph scale.)
   write_offsets_.assign(nvars_ + 1, 0);
   for (const Step& st : steps_)
     for (const Instr& ins : st.instrs)
-      if (writes_dest(ins.op)) ++write_offsets_[ins.z + 1];
-  for (std::size_t v = 0; v < nvars_; ++v)
-    write_offsets_[v + 1] += write_offsets_[v];
+      if (writes_dest(ins.op)) ++write_offsets_[ins.z];
+  for (std::size_t v = 1; v <= nvars_; ++v)
+    write_offsets_[v] += write_offsets_[v - 1];
   write_steps_.resize(write_offsets_[nvars_]);
-  std::vector<std::uint32_t> cursor(write_offsets_.begin(),
-                                    write_offsets_.end() - 1);
-
-  // Pass 2: fill the per-variable write-step lists (sorted ascending by
-  // construction) and the dense per-slot operand-provenance table, using
-  // a transient last-writer array scanned forward through the steps.
-  std::vector<std::uint32_t> last(nvars_, kInitial);
-  writers_.resize(steps_.size());
-  for (std::size_t s = 0; s < steps_.size(); ++s) {
-    writers_[s].resize(nthreads_);
-    const Step& st = steps_[s];
-    for (std::size_t t = 0; t < nthreads_; ++t) {
-      const Instr& ins = st.instrs[t];
-      OperandWriters w;
-      const int r = reads_of(ins.op);
-      if (r >= 1) w.x = last[ins.x];
-      if (r >= 2) w.y = last[ins.y];
-      if (r >= 3) w.c = last[ins.c];
-      writers_[s][t] = w;
-    }
-    for (std::size_t t = 0; t < nthreads_; ++t) {
-      const Instr& ins = st.instrs[t];
-      if (writes_dest(ins.op)) {
-        last[ins.z] = static_cast<std::uint32_t>(s);
-        write_steps_[cursor[ins.z]++] = static_cast<std::uint32_t>(s);
-      }
-    }
-  }
+  for (std::size_t s = steps_.size(); s-- > 0;)
+    for (const Instr& ins : steps_[s].instrs)
+      if (writes_dest(ins.op))
+        write_steps_[--write_offsets_[ins.z]] = static_cast<std::uint32_t>(s);
 }
 
 std::uint32_t Program::last_writer_before(std::size_t s,
@@ -181,8 +160,7 @@ std::uint32_t Program::last_writer_before(std::size_t s,
   return it == first ? kInitial : *(it - 1);
 }
 
-std::string Program::to_string() const {
-  std::ostringstream os;
+void Program::print(std::ostream& os) const {
   os << "PRAM program: " << nthreads_ << " threads, " << nvars_ << " vars, "
      << steps_.size() << " steps\n";
   for (std::size_t s = 0; s < steps_.size(); ++s) {
@@ -193,6 +171,11 @@ std::string Program::to_string() const {
       os << "   T" << t << ": " << ins.to_string() << '\n';
     }
   }
+}
+
+std::string Program::to_string() const {
+  std::ostringstream os;
+  print(os);
   return os.str();
 }
 

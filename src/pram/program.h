@@ -1,15 +1,18 @@
-// PRAM program container, builder, EREW validation, and writer-table
-// analysis.
+// PRAM program container, builder, EREW validation, and the writer index.
 //
-// The writer table is the static analysis the execution scheme relies on:
-// for every (step π, operand variable v) it records the index w of the last
-// step before π that writes v (or kInitial when v still holds its input
-// value).  At run time, a Compute task reading v for step π accepts a
+// The writer index is the static analysis the execution scheme relies on:
+// for an operand variable v read at step π it answers the index w of the
+// last step before π that writes v (or kInitial when v still holds its
+// input value).  At run time, a Compute task reading v for step π accepts a
 // memory cell only if its timestamp equals stamp(w) — this is how tardy
-// clobbers are detected instead of silently consumed.
+// clobbers are detected instead of silently consumed.  Program stores that
+// answer once, as a sparse per-variable list of write steps
+// (last_writer_before); whole-program readers that want every operand's
+// answer get it from one forward walk (walk_writers), which stores nothing.
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -102,7 +105,9 @@ struct ErewScan {
 ErewScan scan_erew(std::size_t nthreads, std::size_t nvars,
                    const std::vector<Step>& steps, ErewSink* sink);
 
-/// Per-instruction operand provenance for one step.
+/// One instruction's operand provenance: for each operand it reads, the
+/// last step before its own that writes it (kInitial if none).  Operands
+/// the op does not read stay kInitial.
 struct OperandWriters {
   std::uint32_t x = kInitial;
   std::uint32_t y = kInitial;
@@ -126,18 +131,35 @@ class Program {
   /// True if any instruction in any step is nondeterministic.
   bool is_nondeterministic() const noexcept { return nondet_; }
 
-  /// Operand provenance of thread `t` at step `s`.
-  const OperandWriters& writers(std::size_t s, std::size_t t) const {
-    return writers_.at(s).at(t);
-  }
-
   /// The step that most recently wrote `var` strictly before step `s`
-  /// (kInitial if none).  Backed by a sparse per-variable index of write
-  /// steps (binary search over that variable's writes), so graph-scale
-  /// programs don't pay the O(nsteps * nvars) dense table the old layout
-  /// materialized.  Executors resolving computed-index (kGatherDyn)
-  /// targets call this on their hot path.
+  /// (kInitial if none): a binary search over that variable's write steps.
+  /// Executors resolving computed-index (kGatherDyn) targets call this on
+  /// their hot path.
   std::uint32_t last_writer_before(std::size_t s, std::uint32_t var) const;
+
+  /// Calls f(s, t, instruction, OperandWriters) for every instruction,
+  /// step by step and thread by thread, with the answers last_writer_before
+  /// gives for its operands: one forward walk over a transient last-writer
+  /// array instead of a search per operand.  Stores nothing.
+  template <typename F>
+  void walk_writers(F&& f) const {
+    std::vector<std::uint32_t> last(nvars_, kInitial);
+    for (std::size_t s = 0; s < steps_.size(); ++s) {
+      const std::vector<Instr>& instrs = steps_[s].instrs;
+      for (std::size_t t = 0; t < instrs.size(); ++t) {
+        const Instr& ins = instrs[t];
+        OperandWriters w;
+        const int r = reads_of(ins.op);
+        if (r >= 1) w.x = last[ins.x];
+        if (r >= 2) w.y = last[ins.y];
+        if (r >= 3) w.c = last[ins.c];
+        f(s, t, ins, w);
+      }
+      // A step's reads see the writes before it: its own land after.
+      for (const Instr& ins : instrs)
+        if (writes_dest(ins.op)) last[ins.z] = static_cast<std::uint32_t>(s);
+    }
+  }
 
   /// True if any instruction is a kGatherDyn (data-dependent window).
   /// Executors use this to budget the extra operand read per task.
@@ -149,15 +171,16 @@ class Program {
   static void validate_erew(std::size_t nthreads, std::size_t nvars,
                             const std::vector<Step>& steps);
 
+  /// Writes the IR dump to `os` as it goes; to_string() collects it.
+  void print(std::ostream& os) const;
   std::string to_string() const;
 
  private:
-  void build_writer_tables();
+  void build_write_index();
 
   std::size_t nthreads_;
   std::size_t nvars_;
   std::vector<Step> steps_;
-  std::vector<std::vector<OperandWriters>> writers_;  ///< [step][thread]
   // Sparse last-writer index: write_steps_ holds, per variable, the sorted
   // list of steps that write it; write_offsets_ (nvars+1) delimits each
   // variable's slice (CSR-shaped).

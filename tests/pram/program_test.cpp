@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "lang/compile.h"
+#include "lang/gen.h"
 #include "pram/interp.h"
 #include "pram/workloads.h"
 #include "util/math.h"
@@ -94,6 +99,17 @@ TEST(Erew, DisjointAccessAccepted) {
   EXPECT_NO_THROW(b.build());
 }
 
+/// Thread t's operand provenance at step s, as Program::walk_writers
+/// reports it.
+OperandWriters walked(const Program& p, std::size_t s, std::size_t t) {
+  OperandWriters out;
+  p.walk_writers([&](std::size_t ws, std::size_t wt, const Instr&,
+                     const OperandWriters& w) {
+    if (ws == s && wt == t) out = w;
+  });
+  return out;
+}
+
 TEST(WriterTable, TracksLastWriter) {
   ProgramBuilder b(2, 4);
   b.step().thread(0, Instr::constant(0, 5));               // step 0 writes v0
@@ -102,9 +118,12 @@ TEST(WriterTable, TracksLastWriter) {
   b.step().thread(1, Instr::add(2, 0, 1));                 // step 3 reads v0, v1
   Program p = b.build();
 
-  EXPECT_EQ(p.writers(1, 1).x, 0u);        // v0 written at step 0
-  EXPECT_EQ(p.writers(3, 1).x, 2u);        // v0 rewritten at step 2
-  EXPECT_EQ(p.writers(3, 1).y, 1u);        // v1 written at step 1
+  EXPECT_EQ(walked(p, 1, 1).x, 0u);        // v0 written at step 0
+  EXPECT_EQ(walked(p, 3, 1).x, 2u);        // v0 rewritten at step 2
+  EXPECT_EQ(walked(p, 3, 1).y, 1u);        // v1 written at step 1
+  EXPECT_EQ(p.last_writer_before(1, 0), 0u);
+  EXPECT_EQ(p.last_writer_before(3, 0), 2u);
+  EXPECT_EQ(p.last_writer_before(3, 1), 1u);
   EXPECT_EQ(p.last_writer_before(1, 3), kInitial);  // v3 never written
 }
 
@@ -112,7 +131,8 @@ TEST(WriterTable, InitialValuesHaveStampZero) {
   ProgramBuilder b(1, 2);
   b.step().thread(0, Instr::copy(1, 0));  // reads v0's initial value
   Program p = b.build();
-  EXPECT_EQ(p.writers(0, 0).x, kInitial);
+  EXPECT_EQ(walked(p, 0, 0).x, kInitial);
+  EXPECT_EQ(p.last_writer_before(0, 0), kInitial);
   EXPECT_EQ(stamp_of_writer(kInitial), 0u);
   EXPECT_EQ(stamp_of_writer(0), 1u);
   EXPECT_EQ(stamp_of_step(4), 5u);
@@ -228,7 +248,102 @@ TEST(Erew, ConstructorReportsToTheSinkThenThrows) {
   EXPECT_EQ(ok.checked, (std::vector<std::size_t>{0, 1}));
   EXPECT_TRUE(p.is_nondeterministic());
   EXPECT_FALSE(p.has_dyn_gather());
-  EXPECT_EQ(p.writers(1, 0).x, 0u);
+  EXPECT_EQ(walked(p, 1, 0).x, 0u);
+  EXPECT_EQ(p.last_writer_before(1, 0), 0u);
+}
+
+// --- Every provenance answer agrees ----------------------------------------
+
+/// The last step before `s` that writes `var`, by scanning the steps
+/// backwards: the rule itself, with no index.
+std::uint32_t scan_back(const Program& p, std::size_t s, std::uint32_t var) {
+  for (std::size_t w = s; w-- > 0;)
+    for (const Instr& ins : p.step(w).instrs)
+      if (writes_dest(ins.op) && ins.z == var)
+        return static_cast<std::uint32_t>(w);
+  return kInitial;
+}
+
+/// Checks, for every operand of every instruction of `p`, that
+/// walk_writers, last_writer_before and scan_back give one answer, and that
+/// the walk leaves the operands an op does not read at kInitial.  A
+/// gather_dyn's computed read may land anywhere in its segment, so the
+/// index must also agree with the scan on every variable of the segment.
+/// Returns the number of operands checked.
+std::size_t expect_provenance_agrees(const Program& p,
+                                     const std::string& what) {
+  std::size_t visited = 0, operands = 0;
+  p.walk_writers([&](std::size_t s, std::size_t t, const Instr& ins,
+                     const OperandWriters& w) {
+    ++visited;
+    EXPECT_EQ(&ins, &p.step(s).instrs[t]) << what;
+    const std::uint32_t vars[] = {ins.x, ins.y, ins.c};
+    const std::uint32_t answers[] = {w.x, w.y, w.c};
+    const int r = reads_of(ins.op);
+    for (int k = 0; k < 3; ++k) {
+      if (k >= r) {
+        EXPECT_EQ(answers[k], kInitial) << what << " step " << s;
+        continue;
+      }
+      ++operands;
+      const std::uint32_t truth = scan_back(p, s, vars[k]);
+      ASSERT_EQ(answers[k], truth)
+          << what << ": walk, step " << s << " thread " << t << " v"
+          << vars[k];
+      ASSERT_EQ(p.last_writer_before(s, vars[k]), truth)
+          << what << ": index, step " << s << " thread " << t << " v"
+          << vars[k];
+    }
+    if (!reads_dyn_window(ins.op)) return;
+    for (std::uint32_t v = dyn_seg_base(ins);
+         v < dyn_seg_base(ins) + dyn_seg_len(ins); ++v) {
+      ASSERT_EQ(p.last_writer_before(s, v), scan_back(p, s, v))
+          << what << ": segment, step " << s << " v" << v;
+    }
+  });
+  EXPECT_EQ(visited, p.nsteps() * p.nthreads()) << what;
+  return operands;
+}
+
+TEST(WriterIndex, SameStepReadSeesThePreStepWriter) {
+  ProgramBuilder b(2, 4);
+  b.step().thread(1, Instr::constant(0, 5));  // step 0 writes v0
+  b.step()
+      .thread(0, Instr::constant(0, 6))       // step 1: thread 0 rewrites v0
+      .thread(1, Instr::copy(1, 0));          //   while thread 1 reads it
+  b.step().thread(0, Instr::add(2, 0, 3));    // step 2 reads v0 and v3
+  const Program p = b.build();
+  EXPECT_EQ(walked(p, 1, 1).x, 0u);           // the pre-step writer
+  EXPECT_EQ(p.last_writer_before(1, 0), 0u);
+  EXPECT_EQ(walked(p, 2, 0).x, 1u);
+  EXPECT_EQ(walked(p, 2, 0).y, kInitial);     // v3 is never written
+  EXPECT_EQ(p.last_writer_before(2, 3), kInitial);
+  EXPECT_EQ(p.last_writer_before(0, 0), kInitial);
+  EXPECT_EQ(expect_provenance_agrees(p, "hand-built"), 3u);
+}
+
+TEST(WriterIndex, AgreesOnEveryRegistryWorkload) {
+  std::size_t programs = 0, operands = 0;
+  for (const WorkloadSpec& spec : workload_registry())
+    for (const std::size_t n : {std::max<std::size_t>(spec.min_n, 8),
+                                std::size_t{16}}) {
+      if (!workload_supports_n(spec, n)) continue;
+      ++programs;
+      operands += expect_provenance_agrees(
+          spec.make(n), std::string(spec.name) + " n=" + std::to_string(n));
+    }
+  EXPECT_GE(programs, workload_registry().size());
+  EXPECT_GT(operands, 0u);
+}
+
+TEST(WriterIndex, AgreesOnGrammarGeneratedPrograms) {
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    const lang::GeneratedProgram g =
+        lang::generate_program({seed, (seed & 1) != 0});
+    const lang::CompileResult r = lang::compile_source(g.source);
+    ASSERT_TRUE(r.ok()) << "seed " << seed;
+    expect_provenance_agrees(*r.program, "seed " + std::to_string(seed));
+  }
 }
 
 // --- Workloads are EREW-valid and have the expected shapes -----------------

@@ -72,6 +72,7 @@
 #include <iostream>
 #include <iterator>
 #include <map>
+#include <new>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -213,6 +214,17 @@ void print_work_split(std::uint64_t clock, std::uint64_t compute,
               static_cast<unsigned long long>(copy));
 }
 
+/// Reports an engine whose memory for `p` cannot be allocated, as a run
+/// that ended without a result.
+std::optional<std::vector<pram::Word>> out_of_memory(const char* engine,
+                                                     const pram::Program& p,
+                                                     const std::bad_alloc& e) {
+  std::printf("  aborted: cannot allocate the %s's memory for %zu "
+              "variables: %s\n",
+              engine, p.nvars(), e.what());
+  return std::nullopt;
+}
+
 /// Runs `p` on the engine --engine selects and prints the run.  Returns the
 /// final memory of a completed run that can be trusted — host: audit-clean
 /// after host::run_until_clean; simulator: consistent with some synchronous
@@ -234,6 +246,8 @@ std::optional<std::vector<pram::Word>> run_engine(
       // a layout past 32-bit plans) is a usage error, not a crash.
       std::fprintf(stderr, "%s\n", e.what());
       std::exit(2);
+    } catch (const std::bad_alloc& e) {
+      return out_of_memory("host executor", p, e);
     }
     const host::HostExecResult& res = run.result;
     std::printf("  completed=%s work=%llu stamp_misses=%llu attempts=%d "
@@ -265,7 +279,12 @@ std::optional<std::vector<pram::Word>> run_engine(
                                   : exec::Scheme::kNondeterministic;
   std::printf("  scheme=%s sched=%s\n", exec::scheme_name(scheme),
               sim::schedule_kind_name(cfg.schedule));
-  const auto chk = exec::run_checked(p, scheme, cfg);
+  exec::CheckedRun chk;
+  try {
+    chk = exec::run_checked(p, scheme, cfg);
+  } catch (const std::bad_alloc& e) {
+    return out_of_memory("simulator", p, e);
+  }
   std::printf("  completed=%s work=%llu incomplete_tasks=%llu "
               "stamp_misses=%llu\n",
               chk.result.completed ? "yes" : "NO",
@@ -378,7 +397,7 @@ int cmd_exec(const Args& a) {
 }
 
 /// `apexcli compile FILE.pram`: run the front-end only.  On success the
-/// validated program's IR dump (pram::Program::to_string) goes to stdout —
+/// validated program's IR dump (pram::Program::print) streams to stdout —
 /// CI diffs this against committed goldens for every in-tree kernel.  On
 /// failure the file:line:col caret diagnostics go to stderr and the exit
 /// code is 1; usage errors (no file) exit 2.
@@ -395,7 +414,7 @@ int cmd_compile(const Args& a) {
                stderr);
     return 1;
   }
-  std::fputs(comp.program->to_string().c_str(), stdout);
+  comp.program->print(std::cout);
   return 0;
 }
 
