@@ -133,8 +133,8 @@ class Program {
 
   /// The step that most recently wrote `var` strictly before step `s`
   /// (kInitial if none): a binary search over that variable's write steps.
-  /// Executors resolving computed-index (kGatherDyn) targets call this on
-  /// their hot path.
+  /// Both executors call it for a computed-index (kGatherDyn) target, and
+  /// the simulator's f for every operand.
   std::uint32_t last_writer_before(std::size_t s, std::uint32_t var) const;
 
   /// Calls f(s, t, instruction, OperandWriters) for every instruction,
