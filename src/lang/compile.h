@@ -1,12 +1,26 @@
 // Semantic analysis + codegen: lane records -> validated pram::Program.
 //
-// One pass writes each lane's pram::Instr into the final steps.  The EREW
-// rule lives in pram::scan_erew: the analyzer hands Program's constructor
-// an ErewSink, the constructor's one EREW pass reports each violation to
-// it, and the analyzer locates it by the records' source offsets, so
-// violations surface as file:line:col diagnostics with a caret instead of
-// std::invalid_argument throws.  Each step's records are freed once it is
-// lowered, so a violated step is parsed again (lang::parse_step) to
+// A step's lanes are parsed, checked and lowered with no other step at
+// hand, so the steps are compiled in parallel:
+//
+//   parse (serial)      the outline: declarations and where steps start
+//   layout (serial)     names, segments, every step's instruction row
+//   steps (k workers)   parse_step + lower into the step's row; each
+//                       worker claims the next step from an atomic index
+//                       and keeps one LaneRec buffer and its faults
+//   Program (k ranges)  scan_erew over contiguous step ranges
+//
+// k is derived from the step text (a calibrated minimum per worker, at
+// most the hardware threads and the steps), so a small file is compiled
+// on the calling thread alone.  Nothing else sets it, and no result
+// depends on it: faults are merged in one fixed order, below.
+//
+// The EREW rule lives in pram::scan_erew: the analyzer hands Program's
+// constructor an ErewSink, the constructor's one EREW pass reports each
+// violation to it, and the analyzer locates it by the records' source
+// offsets, so violations surface as file:line:col diagnostics with a caret
+// instead of std::invalid_argument throws.  No step's records outlive its
+// lowering, so a violated step is parsed again (lang::parse_step) to
 // locate its violations.  The mapping:
 //
 //   EREW pass rule                          diagnostic (anchored at)
@@ -29,8 +43,12 @@
 // overflowing 32 bits (Instr stores uint32_t), lane indices out of range
 // or duplicated, missing/zero `procs`/`vars`.
 //
-// Semantic errors are batched: layout, segments, then lanes in file order;
-// EREW conflicts (by step, then thread) only when all of those passed.
+// The report, the same for every k: the first lexical error anywhere in
+// the file, alone; else the first syntax error, alone; else the semantic
+// errors, batched: layout, segments, then lanes in file order (by step,
+// then lane).  EREW conflicts (by step, then thread) come only when all of
+// those passed.  Workers keep faults as offsets; only reported ones are
+// located.
 //
 // Compilation succeeds only when the diagnostic list is empty, and a
 // successful compile runs the EREW pass exactly once; the returned Program
@@ -38,6 +56,7 @@
 // hand-built kernel.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,6 +76,14 @@ struct CompileResult {
 
 /// Lex + parse + analyze + build in one call.
 CompileResult compile_source(const SourceFile& src);
+
+namespace detail {
+
+/// compile_source with `workers` step workers (0: as many as the step text
+/// is worth).  For tests: no result may depend on it.
+CompileResult compile_source(const SourceFile& src, std::size_t workers);
+
+}  // namespace detail
 
 /// Convenience: read `path` from disk and compile it.  A path that does not
 /// open or read (a directory) becomes a diagnostic at 1:1.  `out_src`

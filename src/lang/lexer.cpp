@@ -40,8 +40,7 @@ void Lexer::stray(std::size_t at) {
 }
 
 void Lexer::fail(std::size_t at, std::string message) {
-  diags_.push_back({src_.loc_at(at), std::move(message)});
-  failed_ = true;
+  fault_ = Fault{at, std::move(message)};
   pos_ = at;
 }
 

@@ -7,7 +7,8 @@
 // baked into the token, no hex.  Punctuation: { } [ ] , : =
 //
 // A token is a view into SourceFile::text: kind, offset, length and an
-// integer's value.  The lexer hands out one per next() and keeps none.
+// integer's value.  The lexer hands out one per next() and keeps none; it
+// keeps its one lexical error as a Fault, located only if it is reported.
 //
 // next() is inline: one table lookup classifies each byte, and scans stop
 // at the NUL every std::string keeps after its last byte instead of
@@ -19,10 +20,10 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "lang/source.h"
 
@@ -90,15 +91,14 @@ class Lexer {
  public:
   /// Lexes `src` from byte `from` (at most its size).  `src` must outlive
   /// the lexer and the tokens it hands out, unchanged.
-  Lexer(const SourceFile& src, std::vector<Diagnostic>& diags,
-        std::size_t from = 0)
-      : src_(src), diags_(diags), pos_(std::min(from, src.text.size())) {}
+  explicit Lexer(const SourceFile& src, std::size_t from = 0)
+      : src_(src), pos_(std::min(from, src.text.size())) {}
 
   /// The next token; kEnd at the end of input and from a lexical error (a
-  /// stray character, an integer over 64 bits, reported once) on.
+  /// stray character, an integer over 64 bits: fault()) on.
   Token next() {
     using namespace detail;
-    if (failed_) return {TokKind::kEnd, pos_};
+    if (fault_) return {TokKind::kEnd, pos_};
     const char* const s = src_.text.c_str();  // s[size] is NUL
     std::size_t p = pos_;
     for (;;) {
@@ -138,8 +138,34 @@ class Lexer {
     }
   }
 
-  /// True once a lexical error has been reported.
-  bool failed() const { return failed_; }
+  /// True once next() has met a lexical error.
+  bool failed() const { return fault_.has_value(); }
+  /// That error.
+  const std::optional<Fault>& fault() const { return fault_; }
+
+  /// Moves past the next '}' outside a '#' comment without lexing what it
+  /// passes, and returns that '}''s offset; with none, moves to the end and
+  /// returns the text size.  Outside comments every '}' byte is a '}'
+  /// token: the language has no strings, and '#' always starts a comment.
+  std::size_t skip_block() {
+    const char* const s = src_.text.data();
+    const std::size_t size = src_.text.size();
+    auto find = [&](std::size_t from, std::size_t to, char c) {
+      const void* hit = std::memchr(s + from, c, to - from);
+      return hit ? static_cast<std::size_t>(static_cast<const char*>(hit) - s)
+                 : to;
+    };
+    std::size_t p = pos_;
+    std::size_t close = find(p, size, '}');
+    // Each byte is searched once for '#' and once for '}': a comment that
+    // hides `close` moves the '}' search past the comment.
+    for (std::size_t hash; (hash = find(p, close, '#')) != close;) {
+      p = find(hash, size, '\n');
+      if (p > close) close = find(p, size, '}');
+    }
+    pos_ = close < size ? close + 1 : size;
+    return close;
+  }
 
   /// The token's spelling, a view into the source text.
   std::string_view text(const Token& t) const {
@@ -154,9 +180,8 @@ class Lexer {
   void fail(std::size_t at, std::string message);
 
   const SourceFile& src_;
-  std::vector<Diagnostic>& diags_;
   std::size_t pos_;
-  bool failed_ = false;
+  std::optional<Fault> fault_;
 };
 
 }  // namespace apex::lang

@@ -1,9 +1,7 @@
 #include "lang/parser.h"
 
 #include <array>
-#include <limits>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "lang/lexer.h"
@@ -33,32 +31,29 @@ namespace {
 
 class Parser {
  public:
-  /// Parses from byte `from` of `src`.
-  Parser(const SourceFile& src, std::vector<Diagnostic>& diags,
-         std::size_t from = 0)
-      : src_(src), diags_(diags), lex_(src, diags, from), cur_(lex_.next()) {}
+  /// Parses from byte `from` of `src`.  A body parser's error search stops
+  /// at the body's '}'; the outline's runs to the end of the file.
+  Parser(const SourceFile& src, std::size_t from, bool body)
+      : lex_(src, from), cur_(lex_.next()), body_(body) {}
 
-  std::optional<ParsedProgram> run() {
+  ParsedProgram outline() {
     if (!at(TokKind::kIdent) || lex_.text(cur_) != "pram") {
       fail("expected 'pram', found " + describe(cur_));
-      return std::nullopt;
+    } else {
+      advance();
+      if (expect(TokKind::kIdent, "program name", &p_.name_at))
+        while (!at(TokKind::kEnd) && parse_item()) {}
     }
-    advance();
-    if (!expect(TokKind::kIdent, "program name", &p_.name_at))
-      return std::nullopt;
-    while (!at(TokKind::kEnd))
-      if (!parse_item()) return std::nullopt;
-    if (lex_.failed()) return std::nullopt;
+    p_.faults = faults();
     return std::move(p_);
   }
 
-  /// `'{' lane* '}'`, appending each lane to `lanes`.
-  bool parse_lanes(std::vector<LaneRec>& lanes) {
-    if (!expect(TokKind::kLBrace, "'{'")) return false;
-    while (!at(TokKind::kRBrace))
-      if (!parse_lane(lanes.emplace_back())) return false;
-    advance();  // '}'
-    return true;
+  /// `'{' lane* '}'`, replacing `lanes`.
+  ParseFaults body(std::vector<LaneRec>& lanes) {
+    lanes.clear();
+    if (expect(TokKind::kLBrace, "'{'"))
+      while (!at(TokKind::kRBrace) && parse_lane(lanes.emplace_back())) {}
+    return faults();
   }
 
  private:
@@ -74,12 +69,15 @@ class Parser {
     cur_.value = t.value;
   }
 
-  /// Reports a syntax error at the current token.  A lexical error
-  /// anywhere in the file takes precedence, so this lexes to the end first.
-  bool fail(const std::string& msg) {
+  ParseFaults faults() const { return {lex_.fault(), syntax_}; }
+
+  /// Records a syntax error at the current token.  A lexical error takes
+  /// precedence, so this first lexes on to the end of what this parser
+  /// covers: the file, or the body.
+  bool fail(std::string msg) {
     const std::size_t where = cur_.offset;
-    while (!at(TokKind::kEnd)) advance();
-    if (!lex_.failed()) diags_.push_back({src_.loc_at(where), msg});
+    while (!at(TokKind::kEnd) && !(body_ && at(TokKind::kRBrace))) advance();
+    if (!lex_.failed()) syntax_ = Fault{where, std::move(msg)};
     return false;
   }
 
@@ -151,8 +149,11 @@ class Parser {
     }
     if (kw == "step") {
       advance();
+      if (!at(TokKind::kLBrace)) return missing("'{'");
       p_.step_at.push_back(static_cast<std::uint32_t>(cur_.offset));
-      return parse_lanes(p_.steps.emplace_back());
+      p_.step_bytes += lex_.skip_block() - cur_.offset;
+      advance();
+      return true;
     }
     return fail("expected a declaration or 'step', found " + describe(cur_));
   }
@@ -200,20 +201,11 @@ class Parser {
                   &lane.imm);
   }
 
-  /// A gather_dyn's segment name: lane.imm becomes its index among the
-  /// distinct names lanes use (ParsedProgram::seg_uses).
+  /// A gather_dyn's segment name: lane.imm_at and lane.imm become where it
+  /// is spelled and its length.
   bool parse_segment_use(LaneRec& lane) {
-    const std::string_view name = lex_.text(cur_);
-    if (!expect(TokKind::kIdent, "segment name", &lane.imm_at)) return false;
-    if (name != last_use_name_) {  // most lanes name the previous one
-      const auto [it, added] = seg_use_.try_emplace(
-          name, static_cast<std::uint32_t>(p_.seg_uses.size()));
-      if (added) p_.seg_uses.push_back(lane.imm_at);
-      last_use_name_ = name;
-      last_use_ = it->second;
-    }
-    lane.imm = last_use_;
-    return true;
+    lane.imm = cur_.length;
+    return expect(TokKind::kIdent, "segment name", &lane.imm_at);
   }
 
   bool parse_ref(RefRec& r) {
@@ -228,33 +220,22 @@ class Parser {
            expect(TokKind::kRBracket, "']'");
   }
 
-  const SourceFile& src_;
-  std::vector<Diagnostic>& diags_;
   Lexer lex_;
   Token cur_;
+  const bool body_;
+  std::optional<Fault> syntax_;
   ParsedProgram p_;
-  std::unordered_map<std::string_view, std::uint32_t> seg_use_;
-  std::string_view last_use_name_;
-  std::uint32_t last_use_ = 0;
 };
 
 }  // namespace
 
-std::optional<ParsedProgram> parse(const SourceFile& src,
-                                   std::vector<Diagnostic>& diags) {
-  // Records hold 32-bit source offsets.
-  if (src.text.size() > std::numeric_limits<std::uint32_t>::max()) {
-    diags.push_back({Loc{}, "source file exceeds 4 GiB"});
-    return std::nullopt;
-  }
-  return Parser(src, diags).run();
+ParsedProgram parse(const SourceFile& src) {
+  return Parser(src, 0, false).outline();
 }
 
-std::vector<LaneRec> parse_step(const SourceFile& src, std::uint32_t at) {
-  std::vector<Diagnostic> none;  // the file parsed cleanly once
-  std::vector<LaneRec> lanes;
-  Parser(src, none, at).parse_lanes(lanes);
-  return lanes;
+ParseFaults parse_step(const SourceFile& src, std::uint32_t at,
+                       std::vector<LaneRec>& lanes) {
+  return Parser(src, at, true).body(lanes);
 }
 
 }  // namespace apex::lang

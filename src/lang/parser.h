@@ -27,11 +27,15 @@
 // produces, so machine-generated kernels need no declarations.  Declared
 // names may not collide with keywords or the raw `v<digits>` pattern.
 //
-// The parser pulls tokens from a Lexer and keeps no strings.  Each
-// `lane: instr` becomes one fixed-size LaneRec: integers decoded (raw refs
-// included), names kept as the byte offset where they are spelled.  A
-// declaration may follow the steps that use it, so names are resolved by
-// the compiler, which also owns every semantic rule (compile.h).
+// The parser pulls tokens from a Lexer and keeps no strings.  It works in
+// two parts.  The outline (parse) reads every declaration and where each
+// step's body starts, and skips the bodies without lexing them: a step can
+// be parsed with no other step at hand, so the compiler parses and lowers
+// them one at a time, on several threads (compile.h).  parse_step turns
+// one body's `lane: instr`s into fixed-size LaneRecs: integers decoded
+// (raw refs included), names kept as the byte offset where they are
+// spelled.  A declaration may follow the steps that use it, so names are
+// resolved by the compiler, which also owns every semantic rule.
 #pragma once
 
 #include <algorithm>
@@ -61,7 +65,7 @@ struct LaneRec {
   RefRec z, x, y, c;          ///< Used according to the op's arity.
   std::uint64_t lane = 0;
   std::uint64_t imm = 0;      ///< const/rand_below/coin imm; gather_dyn's
-                              ///< index in ParsedProgram::seg_uses.
+                              ///< segment name's length.
   std::uint32_t lane_at = 0;
   std::uint32_t imm_at = 0;   ///< The imm, or gather_dyn's segment name.
   pram::OpCode op = pram::OpCode::kNop;
@@ -80,6 +84,17 @@ struct SegDeclRec {
   std::uint32_t len_at = 0;
 };
 
+/// What is wrong with the text one parse covered: its first lexical error
+/// (lexing stops there), or else its first syntax error.
+struct ParseFaults {
+  std::optional<Fault> lexical;
+  std::optional<Fault> syntax;
+
+  bool any() const { return lexical || syntax; }
+};
+
+/// The outline of a file: its declarations and where its steps are.  No
+/// lane of any step is kept; parse_step reads a step when it is needed.
 struct ParsedProgram {
   std::uint32_t name_at = 0;
   std::optional<std::uint64_t> procs;
@@ -88,13 +103,11 @@ struct ParsedProgram {
   std::uint32_t vars_at = 0;
   std::vector<VarDeclRec> var_decls;
   std::vector<SegDeclRec> seg_decls;
-  /// Where each distinct segment name a gather_dyn names is first spelled,
-  /// so the compiler resolves each once.
-  std::vector<std::uint32_t> seg_uses;
-  /// Each step's lanes, in order.  The compiler frees a step's records
-  /// once it has lowered them, and reads them again with parse_step.
-  std::vector<std::vector<LaneRec>> steps;
   std::vector<std::uint32_t> step_at;  ///< Where each step's '{' is.
+  std::size_t step_bytes = 0;          ///< Text inside the bodies, in all.
+  /// In the text the outline lexed: everything but the bodies, and after
+  /// a syntax error the rest of the file.
+  ParseFaults faults;
 };
 
 /// The opcode a keyword spells (exactly pram::opcode_name), if any.
@@ -114,15 +127,19 @@ inline std::optional<std::uint64_t> raw_ref_id(std::string_view name) {
   return std::min(id, kCap);
 }
 
-/// Lex and parse `src`.  Returns nullopt when an error was appended to
-/// `diags`: a lexical error anywhere in the file if there is one, else the
-/// first syntax error (semantic errors are batched later by the compiler).
-std::optional<ParsedProgram> parse(const SourceFile& src,
-                                   std::vector<Diagnostic>& diags);
+/// The outline of `src`, whose size must fit in 32 bits.  A step's body
+/// is skipped to the first '}' outside a comment (Lexer::skip_block), or
+/// to the end of the file if it has none.  The outline stops at its first
+/// syntax error and lexes on from there to the end of the file, so that a
+/// later lexical error is found.  Together with parse_step on each step
+/// it found, that lexes every byte the whole file's one pass would.
+ParsedProgram parse(const SourceFile& src);
 
-/// The lanes of the step whose '{' is at `at` (ParsedProgram::step_at) in
-/// a file parse() accepted: the records parse() made for that step, but
-/// for a gather_dyn's imm, which is 0 here.
-std::vector<LaneRec> parse_step(const SourceFile& src, std::uint32_t at);
+/// Parses the body of the step whose '{' is at `at` (ParsedProgram::step_at)
+/// into `lanes`, replacing what they held (their capacity is kept, so one
+/// buffer serves many steps).  `lanes` is complete when the body has no
+/// fault.  After a syntax error the body is lexed on to its '}'.
+ParseFaults parse_step(const SourceFile& src, std::uint32_t at,
+                       std::vector<LaneRec>& lanes);
 
 }  // namespace apex::lang

@@ -1,9 +1,9 @@
 // Source text, locations, and compiler diagnostics for the PRAM kernel
 // language (src/lang/).
 //
-// Tokens and parsed records carry byte offsets only.  A Diagnostic turns
-// its offset into a line and column when it is created (loc_at), so only
-// the error path ever counts lines.  Diagnostics render in the classic
+// Tokens, parsed records and Faults carry byte offsets only.  A Diagnostic
+// turns its offset into a line and column when it is created (loc_at), so
+// only the error path ever counts lines.  Diagnostics render in the classic
 // file:line:col style with the offending source line and a caret, so an
 // EREW conflict in a .pram file reads like a compiler error, not like the
 // runtime std::invalid_argument Program validation would otherwise throw.
@@ -41,6 +41,13 @@ struct SourceFile {
 
 struct Diagnostic {
   Loc loc;
+  std::string message;
+};
+
+/// A diagnostic not yet located: the byte it points at and its message.
+/// Stages that may find many keep these and locate only what they report.
+struct Fault {
+  std::size_t at = 0;
   std::string message;
 };
 

@@ -1,14 +1,20 @@
 #include "pram/program.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <utility>
+
+#include "util/parallel.h"
 
 namespace apex::pram {
 
 std::string ErewViolation::message(std::size_t nvars) const {
   const std::string at = "PRAM step " + std::to_string(step) + ": ";
-  const std::string v = "v" + std::to_string(var);
+  // Appended: "v" + std::to_string(var) draws a false -Wrestrict from
+  // GCC 12 at -O3.
+  std::string v = "v";
+  v += std::to_string(var);
   const std::string how = operand == Operand::kZ ? "written" : "read";
   const std::string seg =
       "[v" + std::to_string(seg_base) + ", v" +
@@ -34,36 +40,56 @@ std::string ErewViolation::message(std::size_t nvars) const {
   return at + "EREW violation";
 }
 
-ErewScan scan_erew(std::size_t nthreads, std::size_t nvars,
-                   const std::vector<Step>& steps, ErewSink* sink) {
+namespace {
+
+/// The least instruction slots (steps x threads) worth an EREW range of
+/// their own.  Calibrated on registry programs, best of 41 passes (4-vCPU
+/// container, GCC 12.2, Release): a second range made programs of 7-8 K
+/// slots slower (bfs n = 32, spmv n = 128), and programs of 16-35 K
+/// slots 1.2-1.5x faster (spmv n = 256, prefix n = 1024, bfs n = 64).
+constexpr std::size_t kMinSlotsPerRange = std::size_t{16} << 10;
+
+/// The 64-bit words of a mark bitset over `nvars` variables.
+std::size_t mark_words(std::size_t nvars) { return nvars / 64 + 1; }
+
+/// One range's findings: with a sink every violation, else the first.
+struct RangeScan {
+  std::vector<ErewViolation> found;
   ErewScan scan;
-  bool nondet = false;  // kept out of `scan`, which report() reaches
+};
+
+/// The EREW pass over steps [first, last).  `reads` and `writes` hold a
+/// bit per variable; they are clear on entry and on return.  With `all`
+/// false the range ends with the step of its first violation.
+void scan_range(std::size_t nthreads, std::size_t nvars,
+                const std::vector<Step>& steps, std::size_t first,
+                std::size_t last, bool all, std::uint64_t* reads,
+                std::uint64_t* writes, RangeScan& out) {
+  const std::size_t words = mark_words(nvars);
+  bool nondet = false;  // kept out of `out`, which report() reaches
   bool dyn_gather = false;
   auto report = [&](const ErewViolation& v) {
-    ++scan.violations;
-    if (!sink) throw std::invalid_argument(v.message(nvars));
-    sink->violation(v);
+    if (all || out.found.empty()) out.found.push_back(v);
+    ++out.scan.violations;
   };
-  // Epoch-tagged use marks: marks[var] == epoch means "already used this
-  // step".  Reused across steps without clearing, which keeps the pass
-  // O(total instruction operands) instead of O(nsteps * nvars) -- the
-  // difference between milliseconds and minutes at graph scale.
-  std::vector<std::uint32_t> reads(nvars, 0), writes(nvars, 0);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> segs;  // (base, len)
-  for (std::size_t s = 0; s < steps.size(); ++s) {
+  for (std::size_t s = first; s < last; ++s) {
     const std::vector<Instr>& instrs = steps[s].instrs;
     if (instrs.size() != nthreads)
       report({ErewRule::kStepWidth, s});
-    const std::uint32_t epoch = static_cast<std::uint32_t>(s) + 1;
     // Marks `var` as used by `operand` of thread t.
-    auto use = [&](std::vector<std::uint32_t>& marks, std::size_t t,
-                   Operand operand, std::uint32_t var) {
-      if (var >= nvars)
+    auto use = [&](std::uint64_t* marks, std::size_t t, Operand operand,
+                   std::uint32_t var) {
+      if (var >= nvars) {
         report({ErewRule::kOutOfRange, s, t, operand, var});
-      else if (marks[var] == epoch)
+        return;
+      }
+      std::uint64_t& word = marks[var >> 6];
+      const std::uint64_t bit = std::uint64_t{1} << (var & 63);
+      if (word & bit)
         report({ErewRule::kShared, s, t, operand, var});
       else
-        marks[var] = epoch;
+        word |= bit;
     };
     segs.clear();
     for (std::size_t t = 0; t < instrs.size(); ++t) {
@@ -75,7 +101,7 @@ ErewScan scan_erew(std::size_t nthreads, std::size_t nvars,
       if (r >= 3) use(reads, t, Operand::kC, ins.c);
       if (reads_dyn_window(ins.op)) {
         // Segment reads are CREW (pure loads of frozen data; see ir.h), so
-        // they don't bump the read marks -- but the segment itself must be
+        // they don't set the read marks -- but the segment itself must be
         // well-formed, and no thread may WRITE into any declared segment
         // this step (checked once the step is scanned).
         dyn_gather = true;
@@ -101,11 +127,73 @@ ErewScan scan_erew(std::size_t nthreads, std::size_t nvars,
           report({ErewRule::kSegmentWrite, s, t, Operand::kZ, ins.z, base,
                   len});
       }
-    if (sink) sink->step_checked(s);
+    // Clear the step's marks: whole bitsets of at most a word per
+    // instruction cost less than walking the step again (bfs n=1e4:
+    // 2,387 words, 4,096 instructions; the walk doubled the pass), and the
+    // walk keeps a wide program's cost O(operands), not O(nvars) per step.
+    if (words <= instrs.size()) {
+      std::fill(reads, reads + words, 0);
+      std::fill(writes, writes + words, 0);
+    } else {
+      auto clear = [&](std::uint64_t* marks, std::uint32_t var) {
+        if (var < nvars) marks[var >> 6] = 0;
+      };
+      for (const Instr& ins : instrs) {
+        const int r = reads_of(ins.op);
+        if (r >= 1) clear(reads, ins.x);
+        if (r >= 2) clear(reads, ins.y);
+        if (r >= 3) clear(reads, ins.c);
+        if (writes_dest(ins.op)) clear(writes, ins.z);
+      }
+    }
+    if (!all && out.scan.violations != 0) break;
   }
-  scan.nondet = nondet;
-  scan.dyn_gather = dyn_gather;
+  out.scan.nondet = nondet;
+  out.scan.dyn_gather = dyn_gather;
+}
+
+}  // namespace
+
+namespace detail {
+
+ErewScan scan_erew(std::size_t nthreads, std::size_t nvars,
+                   const std::vector<Step>& steps, ErewSink* sink,
+                   std::size_t ranges) {
+  const std::size_t n = steps.size();
+  ranges = std::clamp<std::size_t>(ranges, 1, std::max<std::size_t>(n, 1));
+  // Each thread's two bitsets (reads, then writes), allocated here on the
+  // calling thread.
+  const std::size_t words = mark_words(nvars);
+  std::vector<std::vector<std::uint64_t>> marks(
+      ranges, std::vector<std::uint64_t>(2 * words));
+  std::vector<RangeScan> parts(ranges);
+  util::parallel_for(ranges, ranges, [&](std::size_t r, std::size_t w) {
+    std::uint64_t* reads = marks[w].data();
+    scan_range(nthreads, nvars, steps, r * n / ranges, (r + 1) * n / ranges,
+               sink != nullptr, reads, reads + words, parts[r]);
+  });
+  ErewScan scan;
+  for (const RangeScan& part : parts) {
+    for (const ErewViolation& v : part.found) {
+      if (!sink) throw std::invalid_argument(v.message(nvars));
+      sink->violation(v);
+    }
+    scan.violations += part.scan.violations;
+    scan.nondet |= part.scan.nondet;
+    scan.dyn_gather |= part.scan.dyn_gather;
+  }
   return scan;
+}
+
+}  // namespace detail
+
+ErewScan scan_erew(std::size_t nthreads, std::size_t nvars,
+                   const std::vector<Step>& steps, ErewSink* sink) {
+  std::size_t slots = 0;
+  for (const Step& st : steps) slots += st.instrs.size();
+  return detail::scan_erew(
+      nthreads, nvars, steps, sink,
+      util::threads_for(slots, kMinSlotsPerRange, steps.size()));
 }
 
 void Program::validate_erew(std::size_t nthreads, std::size_t nvars,

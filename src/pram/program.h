@@ -71,16 +71,15 @@ struct ErewViolation {
   std::string message(std::size_t nvars) const;
 };
 
-/// Receives the EREW pass's violations.
+/// Receives the EREW pass's violations, on the thread that runs the pass,
+/// once the whole pass is done.
 class ErewSink {
  public:
-  /// Called for each violation in the order the pass meets them: step by
-  /// step; within a step thread by thread (an instruction's reads x, y, c,
-  /// its segment, then its write); then the step's segment writes, by
+  /// Called once for each violation, in the order of a serial pass: step
+  /// by step; within a step thread by thread (an instruction's reads x, y,
+  /// c, its segment, then its write); then the step's segment writes, by
   /// segment in first-use order and writer in thread order.
   virtual void violation(const ErewViolation& v) = 0;
-  /// Step `s` is checked: no later violation names it.
-  virtual void step_checked(std::size_t s) { (void)s; }
 
  protected:
   ~ErewSink() = default;
@@ -102,8 +101,25 @@ struct ErewScan {
 /// writes, so pre-step values are always well-defined.  Each violation
 /// goes to `sink`, and the pass goes on; with no sink the first one throws
 /// std::invalid_argument with its message().
+///
+/// The rule is per step, so the pass scans contiguous step ranges on
+/// several threads, each with its own marks (a bit per variable for reads
+/// and one for writes), once the program is large enough to be worth it
+/// (a calibrated minimum of instruction slots per range).  Each range
+/// keeps its violations; they reach the sink, or the throw, in step order
+/// after every range is done, so nothing observable depends on the count.
 ErewScan scan_erew(std::size_t nthreads, std::size_t nvars,
                    const std::vector<Step>& steps, ErewSink* sink);
+
+namespace detail {
+
+/// scan_erew over `ranges` step ranges (at least 1, at most one per step)
+/// instead of the count it derives.  For tests.
+ErewScan scan_erew(std::size_t nthreads, std::size_t nvars,
+                   const std::vector<Step>& steps, ErewSink* sink,
+                   std::size_t ranges);
+
+}  // namespace detail
 
 /// One instruction's operand provenance: for each operand it reads, the
 /// last step before its own that writes it (kInitial if none).  Operands

@@ -74,6 +74,22 @@ TEST(DiagnosticsGolden, VarsTotalPlusDeclarationPast64Bits) {
 TEST(DiagnosticsGolden, ProcsPastVectorMaxSize) {
   check_case("procs_past_max_size");
 }
+// Faults outside step bodies, which the outline finds while the steps
+// are parsed apart from it.
+TEST(DiagnosticsGolden, SyntaxErrorInADeclarationAfterTheSteps) {
+  check_case("outline_syntax");
+}
+TEST(DiagnosticsGolden, LexErrorOutsideTheStepsBeatsOneInside) {
+  check_case("outline_lex_error");
+}
+TEST(DiagnosticsGolden, LexErrorAfterAnOutlineSyntaxError) {
+  check_case("lex_error_after_syntax");
+}
+TEST(DiagnosticsGolden, BraceInACommentDoesNotEndTheStep) {
+  check_case("brace_in_comment");
+}
+TEST(DiagnosticsGolden, UnterminatedStep) { check_case("unterminated_step"); }
+TEST(DiagnosticsGolden, StepWithoutBrace) { check_case("step_without_brace"); }
 
 }  // namespace
 }  // namespace apex::lang

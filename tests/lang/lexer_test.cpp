@@ -25,10 +25,9 @@ struct Lexed {
 
 Lexed lex_ok(const std::string& text) {
   Lexed out{SourceFile{"<test>", text}, {}};
-  std::vector<Diagnostic> diags;
-  Lexer lex(out.src, diags);
+  Lexer lex(out.src);
   out.toks = pull_all(lex);
-  EXPECT_TRUE(diags.empty()) << (diags.empty() ? "" : diags[0].message);
+  EXPECT_FALSE(lex.failed()) << lex.fault()->message;
   return out;
 }
 
@@ -86,24 +85,23 @@ TEST(Lexer, MaxUint64Literal) {
 
 TEST(Lexer, IntegerOverflowIsDiagnosed) {
   SourceFile src{"<test>", "pram p\n18446744073709551616"};
-  std::vector<Diagnostic> diags;
-  Lexer lex(src, diags);
+  Lexer lex(src);
   const auto toks = pull_all(lex);
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_NE(diags[0].message.find("does not fit in 64 bits"),
+  ASSERT_TRUE(lex.failed());
+  EXPECT_NE(lex.fault()->message.find("does not fit in 64 bits"),
             std::string::npos);
-  EXPECT_EQ(diags[0].loc.line, 2u);
+  EXPECT_EQ(src.loc_at(lex.fault()->at).line, 2u);
   EXPECT_EQ(toks.back().kind, TokKind::kEnd);  // stream still terminated
 }
 
 TEST(Lexer, StrayCharacterIsDiagnosed) {
   SourceFile src{"<test>", "pram p\n  @bad"};
-  std::vector<Diagnostic> diags;
-  Lexer lex(src, diags);
+  Lexer lex(src);
   pull_all(lex);
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].loc.line, 2u);
-  EXPECT_EQ(diags[0].loc.col, 3u);
+  ASSERT_TRUE(lex.failed());
+  const Loc loc = src.loc_at(lex.fault()->at);
+  EXPECT_EQ(loc.line, 2u);
+  EXPECT_EQ(loc.col, 3u);
 }
 
 // ---- edges of the buffer ---------------------------------------------------
@@ -121,13 +119,14 @@ TEST(Lexer, EmptyAndBlankSourcesEndAtTheirSize) {
 TEST(Lexer, NulByteInsideTheTextIsAStrayCharacter) {
   const std::string text("pram p\n  ab\0cd 1", 16);
   SourceFile src{"<test>", text};
-  std::vector<Diagnostic> diags;
-  Lexer lex(src, diags);
+  Lexer lex(src);
   const auto toks = pull_all(lex);
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].message, std::string("unexpected character '\0'", 24));
-  EXPECT_EQ(diags[0].loc.line, 2u);
-  EXPECT_EQ(diags[0].loc.col, 5u);
+  ASSERT_TRUE(lex.failed());
+  EXPECT_EQ(lex.fault()->message,
+            std::string("unexpected character '\0'", 24));
+  const Loc loc = src.loc_at(lex.fault()->at);
+  EXPECT_EQ(loc.line, 2u);
+  EXPECT_EQ(loc.col, 5u);
   ASSERT_EQ(toks.size(), 4u);  // pram p ab, then kEnd at the NUL
   EXPECT_EQ(lex.text(toks[2]), "ab");
   EXPECT_EQ(toks[3].kind, TokKind::kEnd);
@@ -166,31 +165,49 @@ TEST(Lexer, TokensEndingExactlyAtEndOfFile) {
 
 TEST(Lexer, StartsAtAnOffset) {
   SourceFile src{"<test>", "pram hello [7]"};
-  std::vector<Diagnostic> diags;
-  Lexer at_name(src, diags, 5);
+  Lexer at_name(src, 5);
   const Token name = at_name.next();
   EXPECT_EQ(at_name.text(name), "hello");
   EXPECT_EQ(at_name.next().kind, TokKind::kLBracket);
   EXPECT_EQ(at_name.next().value, 7u);
-  Lexer inside(src, diags, 7);  // inside "hello"
+  Lexer inside(src, 7);  // inside "hello"
   const Token tail = inside.next();
   EXPECT_EQ(tail.kind, TokKind::kIdent);
   EXPECT_EQ(tail.offset, 7u);
   EXPECT_EQ(inside.text(tail), "llo");
-  Lexer at_end(src, diags, src.text.size());
+  Lexer at_end(src, src.text.size());
   const Token end = at_end.next();
   EXPECT_EQ(end.kind, TokKind::kEnd);
   EXPECT_EQ(end.offset, src.text.size());
-  EXPECT_TRUE(diags.empty());
+  EXPECT_FALSE(at_name.failed() || inside.failed() || at_end.failed());
+}
+
+TEST(Lexer, SkipBlockStopsAtTheFirstBraceOutsideAComment) {
+  // Skipped bytes are not lexed: the '@' is no error here.
+  SourceFile src{"<test>", "{ 0: nop @ # } not this one\n 1: nop } step"};
+  Lexer lex(src);
+  EXPECT_EQ(lex.next().kind, TokKind::kLBrace);
+  EXPECT_EQ(lex.skip_block(), src.text.find("} step"));
+  EXPECT_EQ(lex.text(lex.next()), "step");
+  EXPECT_FALSE(lex.failed());
+  // With no '}' outside a comment the block runs to the end of the text,
+  // a comment without a newline included.
+  for (const std::string text : {"{ 0: nop # }", "{ # }\n#}", "{"}) {
+    SourceFile open{"<test>", text};
+    Lexer rest(open);
+    rest.next();
+    EXPECT_EQ(rest.skip_block(), text.size()) << text;
+    EXPECT_EQ(rest.next().kind, TokKind::kEnd) << text;
+  }
 }
 
 TEST(Lexer, RenderDiagnosticHasCaretUnderColumn) {
   SourceFile src{"bad.pram", "pram p\n  @bad"};
-  std::vector<Diagnostic> diags;
-  Lexer lex(src, diags);
+  Lexer lex(src);
   pull_all(lex);
-  ASSERT_EQ(diags.size(), 1u);
-  const std::string out = render_diagnostic(src, diags[0]);
+  ASSERT_TRUE(lex.failed());
+  const Fault& f = *lex.fault();
+  const std::string out = render_diagnostic(src, {src.loc_at(f.at), f.message});
   EXPECT_NE(out.find("bad.pram:2:3: error:"), std::string::npos);
   EXPECT_NE(out.find("  @bad\n"), std::string::npos);
   // Caret line: two-space gutter + (col-1) pad puts the ^ under the @.

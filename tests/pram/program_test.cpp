@@ -196,9 +196,7 @@ TEST(Erew, ValidateErewMessages) {
 /// Keeps everything the pass reports.
 struct Recorder final : ErewSink {
   std::vector<ErewViolation> seen;
-  std::vector<std::size_t> checked;
   void violation(const ErewViolation& v) override { seen.push_back(v); }
-  void step_checked(std::size_t s) override { checked.push_back(s); }
 };
 
 std::vector<Step> two_bad_steps() {
@@ -229,7 +227,6 @@ TEST(Erew, SinkGetsEveryViolationInOrder) {
   EXPECT_EQ(rec.seen[2].seg_base, 4u);
   EXPECT_EQ(rec.seen[2].seg_len, 4u);
   expect(3, ErewRule::kOutOfRange, 1, 1, Operand::kX, 9);
-  EXPECT_EQ(rec.checked, (std::vector<std::size_t>{0, 1}));
   EXPECT_EQ(rec.seen[3].message(8),
             "PRAM step 1: read variable v9 out of range (nvars=8)");
 }
@@ -238,18 +235,113 @@ TEST(Erew, ConstructorReportsToTheSinkThenThrows) {
   Recorder rec;
   EXPECT_THROW(Program(3, 8, two_bad_steps(), &rec), std::invalid_argument);
   EXPECT_EQ(rec.seen.size(), 4u);
-  // A valid program: one pass, every step checked once, nothing reported.
+  // A valid program: nothing reported.
   Recorder ok;
   const Program p(2, 4,
                   {Step{{Instr::constant(0, 1), Instr::coin(1, 0.5)}},
                    Step{{Instr::add(2, 0, 1), Instr::nop()}}},
                   &ok);
   EXPECT_TRUE(ok.seen.empty());
-  EXPECT_EQ(ok.checked, (std::vector<std::size_t>{0, 1}));
   EXPECT_TRUE(p.is_nondeterministic());
   EXPECT_FALSE(p.has_dyn_gather());
   EXPECT_EQ(walked(p, 1, 0).x, 0u);
   EXPECT_EQ(p.last_writer_before(1, 0), 0u);
+}
+
+// --- The pass over step ranges ----------------------------------------------
+
+/// `nsteps` steps of four threads over 48 variables or more, each breaking
+/// the rule once, by a rule its index picks: a shared read, a shared
+/// write, a write inside the step's gather_dyn segment, a read of v5000
+/// (past nvars).
+std::vector<Step> one_violation_per_step(std::size_t nsteps) {
+  std::vector<Step> steps;
+  for (std::size_t s = 0; s < nsteps; ++s) {
+    const auto v = static_cast<std::uint32_t>(4 * (s % 8));
+    Step st{std::vector<Instr>(4, Instr::nop())};
+    switch (s % 4) {
+      case 0:
+        st.instrs[0] = Instr::copy(v, v + 1);
+        st.instrs[2] = Instr::copy(v + 2, v + 1);
+        break;
+      case 1:
+        st.instrs[1] = Instr::constant(v, 1);
+        st.instrs[3] = Instr::constant(v, 2);
+        break;
+      case 2:
+        st.instrs[0] = Instr::gather_dyn(v, v + 1, v + 2, v + 3, 40, 4);
+        st.instrs[1] = Instr::constant(41, 1);
+        break;
+      default:
+        st.instrs[3] = Instr::copy(v, 5000);
+        break;
+    }
+    steps.push_back(std::move(st));
+  }
+  return steps;
+}
+
+/// Everything a violation says.
+std::string describe(const ErewViolation& v) {
+  return v.message(48) + " thread " + std::to_string(v.thread) +
+         " operand " + std::to_string(static_cast<int>(v.operand));
+}
+
+TEST(Erew, EachStepsViolationReachesTheSinkOnceInStepOrder) {
+  const std::vector<Step> steps = one_violation_per_step(37);
+  // 48 variables: a step's marks are cleared whole; 4096: by walking it.
+  for (const std::size_t nvars : {48, 4096}) {
+    Recorder serial;
+    EXPECT_EQ(detail::scan_erew(4, nvars, steps, &serial, 1).violations, 37u);
+    ASSERT_EQ(serial.seen.size(), 37u);
+    for (std::size_t s = 0; s < steps.size(); ++s)
+      EXPECT_EQ(serial.seen[s].step, s);
+    for (const std::size_t ranges : {2, 3, 4, 8, 37, 100}) {
+      Recorder rec;
+      const ErewScan scan = detail::scan_erew(4, nvars, steps, &rec, ranges);
+      EXPECT_EQ(scan.violations, 37u) << ranges << " ranges";
+      EXPECT_TRUE(scan.dyn_gather);
+      EXPECT_FALSE(scan.nondet);
+      ASSERT_EQ(rec.seen.size(), 37u) << ranges << " ranges";
+      for (std::size_t i = 0; i < rec.seen.size(); ++i)
+        EXPECT_EQ(describe(rec.seen[i]), describe(serial.seen[i]))
+            << nvars << " vars, " << ranges << " ranges, violation " << i;
+    }
+  }
+}
+
+TEST(Erew, WithoutASinkTheFirstViolationIsThrownAtAnyRangeCount) {
+  // Every step uses the same variables, so a range that did not clear a
+  // step's marks would see a conflict in the next.
+  const Step clean{{Instr::constant(0, 1), Instr::copy(1, 2),
+                    Instr::rand_below(2, 9), Instr::nop()}};
+  std::vector<Step> steps(40, clean);
+  steps[7] = Step{{Instr::copy(0, 5), Instr::copy(1, 5), Instr::nop(),
+                   Instr::nop()}};
+  steps[33] = Step{{Instr::constant(3, 1), Instr::constant(3, 2),
+                    Instr::nop(), Instr::nop()}};
+  for (const std::size_t nvars : {8, 4096}) {
+    for (const std::size_t ranges : {1, 2, 4, 40}) {
+      std::string thrown;
+      try {
+        detail::scan_erew(4, nvars, steps, nullptr, ranges);
+      } catch (const std::invalid_argument& e) {
+        thrown = e.what();
+      }
+      EXPECT_EQ(thrown,
+                "PRAM step 7: EREW violation, variable v5 read by more than "
+                "one thread")
+          << nvars << " vars, " << ranges << " ranges";
+    }
+  }
+  steps[7] = steps[33] = clean;
+  for (const std::size_t nvars : {8, 4096})
+    for (const std::size_t ranges : {1, 3, 40}) {
+      const ErewScan scan = detail::scan_erew(4, nvars, steps, nullptr, ranges);
+      EXPECT_EQ(scan.violations, 0u) << nvars << " vars, " << ranges;
+      EXPECT_TRUE(scan.nondet);
+      EXPECT_FALSE(scan.dyn_gather);
+    }
 }
 
 // --- Every provenance answer agrees ----------------------------------------
