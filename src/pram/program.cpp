@@ -127,11 +127,12 @@ void scan_range(std::size_t nthreads, std::size_t nvars,
           report({ErewRule::kSegmentWrite, s, t, Operand::kZ, ins.z, base,
                   len});
       }
-    // Clear the step's marks: whole bitsets of at most a word per
-    // instruction cost less than walking the step again (bfs n=1e4:
-    // 2,387 words, 4,096 instructions; the walk doubled the pass), and the
-    // walk keeps a wide program's cost O(operands), not O(nvars) per step.
-    if (words <= instrs.size()) {
+    // Clear the step's marks: whole while that is at most four words per
+    // instruction, since walking the step again made the pass 1.3-1.9x
+    // slower on bfs n=1e4 (2,387 words, 4,096 instructions) and dag n=64
+    // (169 words, 64 instructions).  Past that, the walk keeps a sparse
+    // program's cost O(operands), not O(nvars), per step.
+    if (words <= 4 * instrs.size()) {
       std::fill(reads, reads + words, 0);
       std::fill(writes, writes + words, 0);
     } else {

@@ -17,14 +17,18 @@ namespace apex::util {
 /// the work can be cut into.
 inline std::size_t threads_for(std::size_t amount, std::size_t per_thread,
                                std::size_t parts) {
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  return std::max<std::size_t>(1, std::min({amount / per_thread, hw, parts}));
+  const std::size_t want = std::min(amount / per_thread, parts);
+  if (want <= 1) return 1;
+  // Asked once: glibc reads the online CPUs from /sys on every call.
+  static const std::size_t hw =
+      std::max(1u, std::thread::hardware_concurrency());
+  return std::min(want, hw);
 }
 
 /// Calls f(i, w) once for every i in [0, n), on up to `threads` threads,
 /// the calling thread among them.  Each thread claims the next index from
 /// one atomic counter, so which thread runs an index is not fixed; w, in
-/// [0, threads), names the thread, for per-thread scratch.  With one
+/// [0, threads), names the thread, for per-thread buffers.  With one
 /// thread (or one index) the calling thread runs them all in order.  f
 /// must be safe to call from several threads at once on different i.  A
 /// thread that cannot be started leaves its share to the others.  The
