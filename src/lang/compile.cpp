@@ -78,6 +78,7 @@ class Analyzer final : private pram::ErewSink {
     // Lowering needs every declaration.  After a fault in the outline the
     // steps are only parsed: one of them may hold an earlier error.
     std::vector<pram::Step> steps;
+    std::vector<Worker> pool(workers);
     std::size_t rows = 0;  // steps [0, rows) have a row to lower into
     bool too_large = false;
     if (!p_.faults.any()) {
@@ -88,39 +89,45 @@ class Analyzer final : private pram::ErewSink {
       // tables one entry per variable.  Running out ends in a diagnostic.
       // A step of more processors than a vector can hold (max_size())
       // throws length_error before allocating anything; it is the same
-      // diagnostic.  The rows are reserved here, on the calling thread:
-      // reserved by the workers, each would come from its thread's own
-      // malloc arena and stay there, raising the peak.
+      // diagnostic.  The rows, and each worker's buffers for the most
+      // lanes a clean step can hold (procs, and one per six bytes of its
+      // text: "0:nop" and a space), are reserved here, on the calling
+      // thread: grown by the workers, each would come from its thread's
+      // own malloc arena and stay there, raising the peak.
       try {
         steps.resize(nsteps);
         for (; rows < nsteps; ++rows)
           steps[rows].instrs.reserve(static_cast<std::size_t>(procs_));
+        const auto lanes = static_cast<std::size_t>(
+            std::min<std::uint64_t>(procs_, p_.max_step_bytes / 6 + 1));
+        for (Worker& w : pool) {
+          w.lanes.reserve(lanes);
+          w.placed.reserve(static_cast<std::size_t>(procs_));
+        }
       } catch (const std::bad_alloc&) {
         too_large = true;
       } catch (const std::length_error&) {
         too_large = true;
       }
     }
-    {
-      std::vector<Worker> pool(workers);
-      bool step_too_large = false;
-      try {
-        util::parallel_for(nsteps, workers, [&](std::size_t s, std::size_t w) {
-          compile_step(s, s < rows ? &steps[s].instrs : nullptr, pool[w]);
-        });
-      } catch (const std::bad_alloc&) {
-        step_too_large = true;
-      } catch (const std::length_error&) {
-        step_too_large = true;
-      }
-      if (step_too_large) {
-        // A step needs more memory than there is.  What the steps no
-        // worker finished hold is unknown, so no step's fault is reported.
-        for (Worker& w : pool) w.faults.clear();
-        too_large = true;
-      }
-      report(pool, too_large);
-    }  // the workers' buffers go before the Program's tables come
+    bool step_too_large = false;
+    try {
+      util::parallel_for(nsteps, workers, [&](std::size_t s, std::size_t w) {
+        compile_step(s, s < rows ? &steps[s].instrs : nullptr, pool[w]);
+      });
+    } catch (const std::bad_alloc&) {
+      step_too_large = true;
+    } catch (const std::length_error&) {
+      step_too_large = true;
+    }
+    if (step_too_large) {
+      // A step needs more memory than there is.  What the steps no worker
+      // finished hold is unknown, so no step's fault is reported.
+      for (Worker& w : pool) w.faults.clear();
+      too_large = true;
+    }
+    report(pool, too_large);
+    pool.clear();  // the workers' buffers go before the Program's tables come
     if (!diags_.empty()) return std::nullopt;
     try {
       // Program's one EREW pass reports each violation to violation()

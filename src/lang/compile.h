@@ -4,7 +4,8 @@
 // hand, so the steps are compiled in parallel:
 //
 //   parse (serial)      the outline: declarations and where steps start
-//   layout (serial)     names, segments, every step's instruction row
+//   layout (serial)     names, segments, every step's instruction row and
+//                       each worker's buffers
 //   steps (k workers)   parse_step + lower into the step's row; each
 //                       worker claims the next step from an atomic index
 //                       and keeps one LaneRec buffer and its faults

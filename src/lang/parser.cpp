@@ -151,7 +151,9 @@ class Parser {
       advance();
       if (!at(TokKind::kLBrace)) return missing("'{'");
       p_.step_at.push_back(static_cast<std::uint32_t>(cur_.offset));
-      p_.step_bytes += lex_.skip_block() - cur_.offset;
+      const std::size_t bytes = lex_.skip_block() - cur_.offset;
+      p_.step_bytes += bytes;
+      p_.max_step_bytes = std::max(p_.max_step_bytes, bytes);
       advance();
       return true;
     }

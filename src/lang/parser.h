@@ -105,6 +105,7 @@ struct ParsedProgram {
   std::vector<SegDeclRec> seg_decls;
   std::vector<std::uint32_t> step_at;  ///< Where each step's '{' is.
   std::size_t step_bytes = 0;          ///< Text inside the bodies, in all.
+  std::size_t max_step_bytes = 0;      ///< Text inside the longest body.
   /// In the text the outline lexed: everything but the bodies, and after
   /// a syntax error the rest of the file.
   ParseFaults faults;
